@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke cluster-smoke check
+.PHONY: all build test bench-module vet race bench bench-json bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke cluster-smoke check
 
 # The committed benchmark artifact for this PR; bump per PR so the repo
 # accumulates a benchstat-style history (compare two with
@@ -19,6 +19,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own module (replace repro => ../), so root API changes are
+# only compiled against it, and its golden digests only checked, here.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # The race suite is the repository's concurrency gate: the experiment
 # harness, both CLIs, and the functional runner all execute under the
@@ -177,4 +183,4 @@ fault-smoke:
 	timeout 15s $(GO) run ./cmd/hyve-bench -quick -run reliability
 	$(GO) run ./cmd/hyve-check -seed 1 -duration 10s -point-timeout 60s
 
-check: vet build test race
+check: vet build test bench-module race

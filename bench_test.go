@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/experiments"
@@ -34,7 +35,9 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := experiments.Options{Quick: true}
+	// cache.Off: a shared cache would answer every point after the first
+	// iteration, timing lookups instead of simulations.
+	opt := experiments.Options{Quick: true, Cache: cache.Off()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := e.Run(io.Discard, opt); err != nil {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/point"
 )
 
 type options struct {
@@ -58,7 +59,7 @@ func main() {
 	flag.StringVar(&o.format, "format", "", "output format: bin or v2 (default: by -out extension, .hyve2 = v2)")
 	flag.BoolVar(&o.csr, "csr", true, "include compressed CSR sections in v2 output")
 	flag.StringVar(&o.grid, "grid", "off", "v2 grid sections: off, auto (P from -config/-algo), or an explicit P")
-	flag.StringVar(&o.config, "config", "hyve-opt", "accelerator config for -grid auto (hyve, hyve-opt, sd, dram, reram)")
+	flag.StringVar(&o.config, "config", "hyve-opt", "accelerator config for -grid auto: "+strings.Join(point.Names(), ", "))
 	flag.StringVar(&o.algoName, "algo", "PR", "program for -grid auto value sizing (PR, BFS, CC, SSSP, SpMV)")
 	flag.IntVar(&o.budgetMB, "budget", 256, "streaming partition memory budget in MiB")
 	flag.BoolVar(&o.verify, "verify", false, "re-open the container and verify digest, CSR, and grid against a rebuild")
@@ -206,7 +207,7 @@ func gridP(o options, g *graph.Graph, ds *graph.Dataset) (int, error) {
 	case "", "off":
 		return 0, nil
 	case "auto":
-		cfg, err := accConfig(o.config)
+		cfg, err := point.Config(o.config)
 		if err != nil {
 			return 0, err
 		}
@@ -461,20 +462,4 @@ func generate(spec string) (*graph.Graph, uint64, error) {
 		return g, seed, err
 	}
 	return nil, 0, fmt.Errorf("unknown generator %q (want rmat or uniform)", parts[0])
-}
-
-func accConfig(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q (want hyve, hyve-opt, sd, dram, reram)", name)
 }

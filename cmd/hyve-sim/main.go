@@ -26,14 +26,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpusim"
@@ -42,14 +43,15 @@ import (
 	"repro/internal/graphr"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/point"
 )
 
 func main() {
 	var (
 		dataset = flag.String("dataset", "YT", "dataset (comma-separated to sweep): YT, WK, AS, LJ, TW")
 		algon   = flag.String("algo", "PR", "algorithm (comma-separated to sweep): PR, BFS, CC, SSSP, SpMV")
-		config  = flag.String("config", "hyve-opt", "configuration (comma-separated to sweep): hyve, hyve-opt, sd, dram, reram, graphr, cpu, cpu-opt")
-		sramMB  = flag.Int64("sram", 2, "per-PU on-chip vertex memory in MB (accelerator configs)")
+		config  = flag.String("config", "hyve-opt", "configuration (comma-separated to sweep): "+strings.Join(configNames(), ", "))
+		sramMB  = flag.Int64("sram", 2, "per-PU on-chip vertex memory in MB (accelerator configs; 0 = configuration default)")
 		verbose = flag.Bool("v", false, "print per-phase detail")
 		par     = flag.Int("parallel", 0, "worker count for sweep points (0 = GOMAXPROCS, 1 = serial)")
 		jsonOut = flag.Bool("json", false, "emit one canonical JSON artifact document per point instead of text")
@@ -71,8 +73,11 @@ func main() {
 	case *result:
 		mode = modeResult
 	}
-	if err := runSweep(os.Stdout, os.Stderr, splitList(*dataset), splitList(*algon), splitList(*config),
-		*sramMB, *verbose, mode, *par); err != nil {
+	sw, err := parseSweep(*dataset, *algon, *config, *sramMB)
+	if err == nil {
+		err = runSweep(os.Stdout, os.Stderr, sw, *verbose, mode, *par)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -89,36 +94,50 @@ const (
 	modeResult
 )
 
-// splitList parses a comma-separated flag value, dropping empty items so
-// "YT," and "YT" mean the same thing.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+// baselines are the analytic configurations only hyve-sim runs: they
+// have no core.Config and no canonical result document.
+var baselines = []string{"graphr", "cpu", "cpu-opt"}
+
+// configNames lists every configuration hyve-sim accepts.
+func configNames() []string { return append(point.Names(), baselines...) }
+
+// parseSweep turns the comma-separated flag values into a sweep,
+// rejecting an empty axis, an out-of-range SRAM override and unknown
+// configurations before any point runs. Unknown datasets and algorithms
+// surface per point, naming the point that failed.
+func parseSweep(datasets, algos, configs string, sramMB int64) (point.Sweep, error) {
+	sw := point.Sweep{
+		Datasets: point.SplitList(datasets),
+		Algos:    point.SplitList(algos),
+		Configs:  point.SplitList(configs),
+		SRAMMB:   sramMB,
+	}
+	if sw.Len() == 0 {
+		return sw, fmt.Errorf("hyve-sim: -dataset, -algo, and -config must each name at least one value")
+	}
+	if err := point.CheckSRAM(sramMB); err != nil {
+		return sw, fmt.Errorf("hyve-sim: -sram: %w", err)
+	}
+	names := configNames()
+	for _, c := range sw.Configs {
+		if !slices.Contains(names, c) {
+			return sw, fmt.Errorf("hyve-sim: unknown config %q (want %s)", c, strings.Join(names, ", "))
 		}
 	}
-	return out
+	return sw, nil
 }
 
-// runSweep runs the cross product of datasets × algorithms × configs.
-// One point streams straight to w; a sweep computes every point into an
-// index-addressed buffer (fanned across the worker pool) and emits them
-// in order, closing with an aggregate-vs-wall-clock speedup line on
-// progress (stderr in the binary) so w stays pipeable — in particular,
-// -json output on w is a clean concatenation of JSON documents.
-func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB int64, verbose bool, mode outputMode, par int) error {
-	if len(datasets) == 0 || len(algos) == 0 || len(configs) == 0 {
-		return fmt.Errorf("hyve-sim: -dataset, -algo, and -config must each name at least one value")
-	}
-	n := len(datasets) * len(algos) * len(configs)
+// runSweep runs every point of the sweep. One point streams straight to
+// w; a sweep computes every point into an index-addressed buffer (fanned
+// across the worker pool) and emits them in order, closing with an
+// aggregate-vs-wall-clock speedup line on progress (stderr in the
+// binary) so w stays pipeable — in particular, -json output on w is a
+// clean concatenation of JSON documents.
+func runSweep(w, progress io.Writer, sw point.Sweep, verbose bool, mode outputMode, par int) error {
+	n := sw.Len()
 	if n == 1 {
-		return runOne(w, datasets[0], algos[0], configs[0], sramMB, verbose, mode)
-	}
-
-	point := func(i int) (dataset, algon, config string) {
-		perDataset := len(algos) * len(configs)
-		return datasets[i/perDataset], algos[i/len(configs)%len(algos)], configs[i%len(configs)]
+		spec, _ := sw.At(0)
+		return runOne(w, spec, verbose, mode)
 	}
 
 	start := time.Now()
@@ -129,10 +148,10 @@ func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB i
 		workers = 1
 	}
 	err := parallel.ForEach(workers, n, func(i int) error {
-		d, a, c := point(i)
+		spec, _ := sw.At(i)
 		t0 := time.Now()
-		if err := runOne(&bufs[i], d, a, c, sramMB, verbose, mode); err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", d, a, c, err)
+		if err := runOne(&bufs[i], spec, verbose, mode); err != nil {
+			return fmt.Errorf("%s/%s/%s: %w", spec.Dataset, spec.Algo, spec.Config, err)
 		}
 		elapsed[i] = time.Since(t0)
 		return nil
@@ -143,12 +162,12 @@ func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB i
 
 	var aggregate time.Duration
 	for i := 0; i < n; i++ {
-		d, a, c := point(i)
 		if mode == modeText {
 			if i > 0 {
 				fmt.Fprintln(w)
 			}
-			fmt.Fprintf(w, "--- %s %s %s ---\n", d, a, c)
+			spec, _ := sw.At(i)
+			fmt.Fprintf(w, "--- %s %s %s ---\n", spec.Dataset, spec.Algo, spec.Config)
 		}
 		if _, err := w.Write(bufs[i].Bytes()); err != nil {
 			return err
@@ -162,16 +181,15 @@ func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB i
 	return err
 }
 
-func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bool, mode outputMode) error {
-	d, err := graph.DatasetByName(dataset)
+// runOne runs one point. Core configurations run through point.Run
+// with the cache off, so every mode renders from the canonical result
+// document hyve-serve and the sweep cluster produce for the same point.
+func runOne(w io.Writer, spec point.Spec, verbose bool, mode outputMode) error {
+	d, err := graph.DatasetByName(spec.Dataset)
 	if err != nil {
 		return err
 	}
-	p, err := algo.ByName(algon)
-	if err != nil {
-		return err
-	}
-	wl, err := core.WorkloadFor(d, p)
+	wl, err := spec.Workload()
 	if err != nil {
 		return err
 	}
@@ -182,11 +200,11 @@ func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bo
 
 	var rep *energy.Report
 	var detail *core.Detail
-	switch config {
+	if slices.Contains(baselines, spec.Config) && mode == modeResult {
+		return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", spec.Config)
+	}
+	switch spec.Config {
 	case "graphr":
-		if mode == modeResult {
-			return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", config)
-		}
 		r, err := graphr.Simulate(graphr.Default(), wl)
 		if err != nil {
 			return err
@@ -196,40 +214,24 @@ func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bo
 			fmt.Fprintf(w, "GraphR: %d non-empty 8×8 blocks, Navg %.2f\n", r.Detail.NonEmptyBlocks, r.Detail.Navg)
 		}
 	case "cpu":
-		if mode == modeResult {
-			return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", config)
-		}
 		if rep, err = cpusim.Simulate(cpusim.NXgraph(), wl); err != nil {
 			return err
 		}
 	case "cpu-opt":
-		if mode == modeResult {
-			return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", config)
-		}
 		if rep, err = cpusim.Simulate(cpusim.Galois(), wl); err != nil {
 			return err
 		}
 	default:
-		cfg, err := accConfig(config)
-		if err != nil {
-			return err
-		}
-		if cfg.UseOnChipSRAM {
-			cfg.SRAMBytes = sramMB << 20
-		}
-		r, err := core.Simulate(cfg, wl)
+		payload, err := point.Run(context.Background(), cache.Off(), spec)
 		if err != nil {
 			return err
 		}
 		if mode == modeResult {
-			// The exact canonical document the result cache stores and
-			// hyve-serve returns: byte-for-byte comparable across the
-			// CLI, the store, and the wire.
-			payload, err := cache.EncodeResult(r)
-			if err != nil {
-				return err
-			}
 			_, err = w.Write(payload)
+			return err
+		}
+		r, err := cache.DecodeResult(payload)
+		if err != nil {
 			return err
 		}
 		rep = &r.Report
@@ -237,7 +239,7 @@ func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bo
 	}
 
 	if mode == modeArtifact {
-		return writeJSONPoint(w, d, config, rep, detail)
+		return writeJSONPoint(w, d, spec.Config, rep, detail)
 	}
 
 	fmt.Fprintf(w, "config:      %s\n", rep.Config)
@@ -300,20 +302,4 @@ func writeJSONPoint(w io.Writer, d graph.Dataset, config string, rep *energy.Rep
 		}
 	}
 	return art.EncodeJSON(w)
-}
-
-func accConfig(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q (want hyve, hyve-opt, sd, dram, reram, graphr, cpu, cpu-opt)", name)
 }

@@ -2,49 +2,26 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
-	"reflect"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/algo"
 	"repro/internal/cache"
+	"repro/internal/cluster/jobs"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/point"
+	"repro/internal/serve"
 )
 
-func TestAccConfig(t *testing.T) {
-	for _, name := range []string{"hyve", "hyve-opt", "sd", "dram", "reram"} {
-		cfg, err := accConfig(name)
-		if err != nil {
-			t.Errorf("accConfig(%s): %v", name, err)
-			continue
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("accConfig(%s) invalid: %v", name, err)
-		}
-	}
-	if _, err := accConfig("nope"); err == nil {
-		t.Error("unknown config accepted")
-	}
-}
-
-func TestSplitList(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []string
-	}{
-		{"YT", []string{"YT"}},
-		{"YT,WK,LJ", []string{"YT", "WK", "LJ"}},
-		{"YT, WK", []string{"YT", "WK"}},
-		{"YT,", []string{"YT"}},
-		{"", nil},
-	} {
-		if got := splitList(tc.in); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("splitList(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
+// spec is the single-point shorthand the tests run.
+func spec(dataset, algon, config string) point.Spec {
+	return point.Spec{Dataset: dataset, Algo: algon, Config: config, SRAMMB: 2}
 }
 
 func TestRunOneSmokesEveryConfig(t *testing.T) {
@@ -52,14 +29,14 @@ func TestRunOneSmokesEveryConfig(t *testing.T) {
 		t.Skip("simulation smoke test")
 	}
 	for _, config := range []string{"hyve-opt", "sd", "graphr", "cpu", "cpu-opt"} {
-		if err := runOne(io.Discard, "YT", "PR", config, 2, true, modeText); err != nil {
+		if err := runOne(io.Discard, spec("YT", "PR", config), true, modeText); err != nil {
 			t.Errorf("runOne(YT, PR, %s): %v", config, err)
 		}
 	}
-	if err := runOne(io.Discard, "nope", "PR", "hyve", 2, false, modeText); err == nil {
+	if err := runOne(io.Discard, spec("nope", "PR", "hyve"), false, modeText); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	if err := runOne(io.Discard, "YT", "nope", "hyve", 2, false, modeText); err == nil {
+	if err := runOne(io.Discard, spec("YT", "nope", "hyve"), false, modeText); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -72,7 +49,7 @@ func TestRunOneJSON(t *testing.T) {
 	}
 	for _, config := range []string{"hyve-opt", "graphr"} {
 		var buf bytes.Buffer
-		if err := runOne(&buf, "YT", "PR", config, 2, false, modeArtifact); err != nil {
+		if err := runOne(&buf, spec("YT", "PR", config), false, modeArtifact); err != nil {
 			t.Fatalf("runOne(YT, PR, %s, json): %v", config, err)
 		}
 		var doc struct {
@@ -109,7 +86,7 @@ func TestRunOneResult(t *testing.T) {
 		t.Skip("simulation smoke test")
 	}
 	var buf bytes.Buffer
-	if err := runOne(&buf, "YT", "PR", "sd", 2, false, modeResult); err != nil {
+	if err := runOne(&buf, spec("YT", "PR", "sd"), false, modeResult); err != nil {
 		t.Fatalf("runOne(YT, PR, sd, result): %v", err)
 	}
 	d, err := graph.DatasetByName("YT")
@@ -138,8 +115,17 @@ func TestRunOneResult(t *testing.T) {
 	if _, err := cache.DecodeResult(buf.Bytes()); err != nil {
 		t.Errorf("-result output does not decode: %v", err)
 	}
-	if err := runOne(io.Discard, "YT", "PR", "graphr", 2, false, modeResult); err == nil {
+	if err := runOne(io.Discard, spec("YT", "PR", "graphr"), false, modeResult); err == nil {
 		t.Error("-result accepted a baseline config with no canonical document")
+	}
+	// -sram 0 keeps the configuration default (2 MB), like sram_mb 0 on
+	// the wire.
+	var dflt bytes.Buffer
+	if err := runOne(&dflt, point.Spec{Dataset: "YT", Algo: "PR", Config: "sd"}, false, modeResult); err != nil {
+		t.Fatalf("runOne with -sram 0: %v", err)
+	}
+	if !bytes.Equal(dflt.Bytes(), want) {
+		t.Error("-sram 0 did not keep the configuration default")
 	}
 }
 
@@ -153,11 +139,12 @@ func TestRunSweepDeterministic(t *testing.T) {
 	datasets := []string{"YT", "WK"}
 	algos := []string{"PR", "BFS"}
 	configs := []string{"hyve-opt", "sd"}
+	sw := point.Sweep{Datasets: datasets, Algos: algos, Configs: configs, SRAMMB: 2}
 	var serial, par, serialProg, parProg bytes.Buffer
-	if err := runSweep(&serial, &serialProg, datasets, algos, configs, 2, false, modeText, -1); err != nil {
+	if err := runSweep(&serial, &serialProg, sw, false, modeText, -1); err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	if err := runSweep(&par, &parProg, datasets, algos, configs, 2, false, modeText, 8); err != nil {
+	if err := runSweep(&par, &parProg, sw, false, modeText, 8); err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
 	// With the summary line routed to the progress writer, stdout must be
@@ -196,17 +183,96 @@ func TestRunSweepSinglePointUnchanged(t *testing.T) {
 		t.Skip("simulation smoke test")
 	}
 	var single, direct bytes.Buffer
-	if err := runSweep(&single, io.Discard, []string{"YT"}, []string{"PR"}, []string{"hyve-opt"}, 2, false, modeText, 8); err != nil {
+	sw, err := parseSweep("YT", "PR", "hyve-opt", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runSweep(&single, io.Discard, sw, false, modeText, 8); err != nil {
 		t.Fatalf("single-point sweep: %v", err)
 	}
-	if err := runOne(&direct, "YT", "PR", "hyve-opt", 2, false, modeText); err != nil {
+	if err := runOne(&direct, spec("YT", "PR", "hyve-opt"), false, modeText); err != nil {
 		t.Fatalf("runOne: %v", err)
 	}
 	if single.String() != direct.String() {
 		t.Errorf("single-point sweep output differs from direct runOne:\n--- sweep ---\n%s\n--- direct ---\n%s",
 			single.String(), direct.String())
 	}
-	if err := runSweep(io.Discard, io.Discard, nil, []string{"PR"}, []string{"hyve"}, 2, false, modeText, 0); err == nil {
-		t.Error("empty dataset list accepted")
+}
+
+func TestParseSweep(t *testing.T) {
+	for _, tc := range []struct {
+		dataset, config string
+		sramMB          int64
+		ok              bool
+	}{
+		{"YT,WK", "hyve,cpu-opt", 2, true},
+		{"YT", "hyve", 0, true}, // 0 keeps the configuration default
+		{",", "hyve", 2, false},
+		{"YT", "nope", 2, false},
+		{"YT", "hyve", -1, false},
+		{"YT", "hyve", 1 << 43, false}, // MB count whose byte count overflows
+	} {
+		_, err := parseSweep(tc.dataset, "PR", tc.config, tc.sramMB)
+		if (err == nil) != tc.ok {
+			t.Errorf("parseSweep(%q, PR, %q, %d) error = %v, want ok=%v", tc.dataset, tc.config, tc.sramMB, err, tc.ok)
+		}
+	}
+}
+
+// TestEveryConfigReachesEveryConsumer walks the configuration registry
+// through the three ways a point name arrives — hyve-sim's flags,
+// hyve-serve's /point and the cluster's sim spec — and requires the
+// same canonical bytes from each: a configuration added in one place
+// shows up in every CLI and in the wire API.
+func TestEveryConfigReachesEveryConsumer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	sched := cache.New(cache.Config{})
+	ts := httptest.NewServer(serve.New(serve.Config{Sched: sched, Rate: 1e6, Burst: 1 << 20}).Handler())
+	defer ts.Close()
+	for _, name := range point.Names() {
+		sw, err := parseSweep("YT", "PR", name, 2)
+		if err != nil {
+			t.Errorf("hyve-sim rejects %s: %v", name, err)
+			continue
+		}
+		var direct bytes.Buffer
+		if err := runSweep(&direct, io.Discard, sw, false, modeResult, 1); err != nil {
+			t.Fatalf("hyve-sim -result -config %s: %v", name, err)
+		}
+
+		body, err := json.Marshal(serve.PointRequest{Dataset: "YT", Algo: "PR", Config: name, SRAMMB: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/point", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(served, direct.Bytes()) {
+			t.Errorf("/point config %s: status %d, body differs from hyve-sim -result: %.120s", name, resp.StatusCode, served)
+		}
+
+		wire, err := jobs.NewSimSpec(sw)
+		if err != nil {
+			t.Fatalf("jobs.NewSimSpec rejects %s: %v", name, err)
+		}
+		job, err := jobs.Decode(wire, jobs.ExecOptions{Cache: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := job.Execute(context.Background(), 0)
+		if err != nil {
+			t.Fatalf("cluster point config %s: %v", name, err)
+		}
+		if !bytes.Equal(merged, direct.Bytes()) {
+			t.Errorf("cluster point config %s differs from hyve-sim -result", name)
+		}
 	}
 }

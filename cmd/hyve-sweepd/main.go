@@ -40,6 +40,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/jobs"
 	"repro/internal/graph"
+	"repro/internal/point"
 	"repro/internal/serve"
 )
 
@@ -54,8 +55,8 @@ func run(args []string) int {
 		listen      = fs.String("listen", "", "accept hyve-worker connections on this address (empty = no listener, pure local execution)")
 		dataset     = fs.String("dataset", "YT", "datasets to sweep (comma-separated)")
 		algon       = fs.String("algo", "PR", "algorithms to sweep (comma-separated)")
-		config      = fs.String("config", "hyve-opt", "configurations to sweep (comma-separated; core configs only)")
-		sramMB      = fs.Int64("sram", 2, "per-PU on-chip vertex memory in MB (accelerator configs)")
+		config      = fs.String("config", "hyve-opt", "configurations to sweep (comma-separated): "+strings.Join(point.Names(), ", "))
+		sramMB      = fs.Int64("sram", 2, "per-PU on-chip vertex memory in MB (accelerator configs; 0 = configuration default)")
 		out         = fs.String("out", "", "write the merged artifact here (atomic rename); empty = stdout")
 		shardSize   = fs.Int("shard", cluster.DefaultShardSize, "points per lease")
 		leaseTTL    = fs.Duration("lease-ttl", cluster.DefaultLeaseTTL, "lease lifetime without a heartbeat or merged result")
@@ -93,7 +94,12 @@ func run(args []string) int {
 		defer serve.ShutdownServer(srv, 5*time.Second)
 	}
 
-	spec, err := jobs.NewSimSpec(splitList(*dataset), splitList(*algon), splitList(*config), *sramMB)
+	spec, err := jobs.NewSimSpec(point.Sweep{
+		Datasets: point.SplitList(*dataset),
+		Algos:    point.SplitList(*algon),
+		Configs:  point.SplitList(*config),
+		SRAMMB:   *sramMB,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyve-sweepd:", err)
 		return 2
@@ -102,7 +108,7 @@ func run(args []string) int {
 	if *cacheDir != "" {
 		sched = cache.New(cache.Config{Dir: *cacheDir})
 	}
-	job, err := jobs.Decode(spec, jobs.ExecOptions{Cache: sched, PrepDir: *prepDir})
+	job, err := jobs.Decode(spec, jobs.ExecOptions{Cache: sched})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyve-sweepd:", err)
 		return 2
@@ -197,15 +203,4 @@ func lingerFor(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)
 	}
-}
-
-// splitList parses a comma-separated flag value, dropping empty items.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -20,17 +20,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"repro/internal/algo"
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/point"
 )
 
 func main() {
 	var (
 		dataset = flag.String("dataset", "YT", "dataset: YT, WK, AS, LJ, TW")
 		algon   = flag.String("algo", "PR", "algorithm: PR, BFS, CC, SSSP, SpMV")
-		config  = flag.String("config", "hyve-opt", "configuration: hyve, hyve-opt, sd")
+		config  = flag.String("config", "hyve-opt", "configuration with an on-chip vertex memory, of: "+strings.Join(point.Names(), ", "))
 		format  = flag.String("format", "summary", "output: csv, jsonl, summary, or timeline (catapult JSON)")
 		limit   = flag.Int64("limit", 0, "emit at most this many csv/jsonl records (0 = all)")
 	)
@@ -42,28 +42,12 @@ func main() {
 }
 
 func run(w io.Writer, dataset, algon, config, format string, limit int64) error {
-	d, err := graph.DatasetByName(dataset)
+	cfg, wl, err := point.Spec{Dataset: dataset, Algo: algon, Config: config}.Resolve()
 	if err != nil {
 		return err
 	}
-	prog, err := algo.ByName(algon)
-	if err != nil {
-		return err
-	}
-	wl, err := core.WorkloadFor(d, prog)
-	if err != nil {
-		return err
-	}
-	var cfg core.Config
-	switch config {
-	case "hyve":
-		cfg = core.HyVE()
-	case "hyve-opt":
-		cfg = core.HyVEOpt()
-	case "sd":
-		cfg = core.SRAMDRAM()
-	default:
-		return fmt.Errorf("unknown config %q (tracing needs the on-chip hierarchy: hyve, hyve-opt, sd)", config)
+	if !cfg.UseOnChipSRAM {
+		return fmt.Errorf("config %q has no on-chip vertex memory to trace", config)
 	}
 
 	switch format {

@@ -37,6 +37,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/cluster/jobs"
+	"repro/internal/graph"
 	"repro/internal/parallel"
 )
 
@@ -69,13 +70,15 @@ func run(args []string) int {
 		return 2
 	}
 
+	graph.SetPreparedDir(*prepDir)
+
 	var sched *cache.Scheduler
 	if *cacheDir != "" {
 		sched = cache.New(cache.Config{Dir: *cacheDir})
 	}
 	cfg := cluster.WorkerConfig{
 		Name:       *name,
-		Factory:    jobs.Factory(jobs.ExecOptions{Cache: sched, PrepDir: *prepDir}),
+		Factory:    jobs.Factory(jobs.ExecOptions{Cache: sched}),
 		Parallel:   *par,
 		ChaosDelay: *chaosDelay,
 	}

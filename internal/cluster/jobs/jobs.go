@@ -18,10 +18,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/graph"
-
-	"repro/internal/algo"
+	"repro/internal/point"
 )
 
 // Spec is the wire envelope for a distributable sweep.
@@ -32,14 +29,8 @@ type Spec struct {
 }
 
 // SimSpec describes a simulation sweep: the same dataset-major cross
-// product hyve-sim runs, point i mapping to
-// (datasets[i/(A·C)], algos[(i/C)%A], configs[i%C]).
-type SimSpec struct {
-	Datasets []string `json:"datasets"`
-	Algos    []string `json:"algos"`
-	Configs  []string `json:"configs"`
-	SRAMMB   int64    `json:"sram_mb"`
-}
+// product hyve-sim runs (point.Sweep fixes the index order).
+type SimSpec = point.Sweep
 
 // CheckSpec describes a conformance sweep: seeds Seed … Seed+Points-1.
 type CheckSpec struct {
@@ -49,42 +40,23 @@ type CheckSpec struct {
 }
 
 // ExecOptions carries the local execution environment a spec does not
-// describe: the scheduler machines resolve through and where prepared
-// datasets live.
+// describe. Prepared datasets are the process's graph.SetPreparedDir.
 type ExecOptions struct {
 	// Cache is the scheduler points resolve through (nil = a private
 	// in-memory scheduler per job).
 	Cache *cache.Scheduler
-	// PrepDir, when nonempty, loads datasets from hyve-prep containers
-	// (missing datasets are generated, exactly as everywhere else).
-	PrepDir string
 }
 
-// NewSimSpec encodes a simulation sweep spec, validating that every
-// named dataset, algorithm, and configuration resolves — a coordinator
-// should refuse an impossible sweep before leasing anything.
-func NewSimSpec(datasets, algos, configs []string, sramMB int64) ([]byte, error) {
-	if len(datasets) == 0 || len(algos) == 0 || len(configs) == 0 {
-		return nil, errors.New("jobs: a sim sweep needs at least one dataset, algorithm, and configuration")
+// NewSimSpec encodes a simulation sweep spec, validating every point —
+// a coordinator should refuse an impossible sweep before leasing
+// anything. Only core configurations parse: the analytic graphr/cpu
+// baselines have no canonical result document, so they cannot ride a
+// distributed sweep (exactly the hyve-sim -result rule).
+func NewSimSpec(sw SimSpec) ([]byte, error) {
+	if _, err := sw.Specs(); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	for _, d := range datasets {
-		if _, err := graph.DatasetByName(d); err != nil {
-			return nil, err
-		}
-	}
-	for _, a := range algos {
-		if _, err := algo.ByName(a); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range configs {
-		if _, err := coreConfig(c); err != nil {
-			return nil, err
-		}
-	}
-	return encodeSpec(Spec{Kind: "sim", Sim: &SimSpec{
-		Datasets: datasets, Algos: algos, Configs: configs, SRAMMB: sramMB,
-	}})
+	return encodeSpec(Spec{Kind: "sim", Sim: &sw})
 }
 
 // NewCheckSpec encodes a conformance sweep spec.
@@ -115,9 +87,6 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("jobs: decoding spec: %w", err)
 	}
-	if opt.PrepDir != "" {
-		graph.SetPreparedDir(opt.PrepDir)
-	}
 	sched := opt.Cache
 	if sched == nil {
 		sched = cache.New(cache.Config{})
@@ -127,10 +96,10 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		if s.Sim == nil {
 			return nil, errors.New("jobs: sim spec missing sim body")
 		}
-		if len(s.Sim.Datasets) == 0 || len(s.Sim.Algos) == 0 || len(s.Sim.Configs) == 0 {
-			return nil, errors.New("jobs: sim spec names no points")
+		if _, err := s.Sim.Specs(); err != nil {
+			return nil, fmt.Errorf("jobs: %w", err)
 		}
-		return &simJob{spec: *s.Sim, sched: sched}, nil
+		return &simJob{sweep: *s.Sim, sched: sched}, nil
 	case "check":
 		if s.Check == nil {
 			return nil, errors.New("jobs: check spec missing check body")
@@ -149,84 +118,30 @@ func Factory(opt ExecOptions) cluster.JobFactory {
 	return func(spec []byte) (cluster.Job, error) { return Decode(spec, opt) }
 }
 
-// coreConfig resolves a sweep configuration name. Only the five core
-// configurations exist here: the analytic graphr/cpu baselines have no
-// canonical result document, so they cannot ride a distributed sweep
-// (exactly the hyve-sim -result rule).
-func coreConfig(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("jobs: unknown config %q (a distributed sweep covers hyve, hyve-opt, sd, dram, reram)", name)
-}
-
 // simJob executes simulation points through the shared scheduler and
 // returns canonical hyve/result/v1 documents.
 type simJob struct {
-	spec  SimSpec
+	sweep SimSpec
 	sched *cache.Scheduler
 }
 
 // Points implements cluster.Job.
-func (j *simJob) Points() int {
-	return len(j.spec.Datasets) * len(j.spec.Algos) * len(j.spec.Configs)
-}
-
-// pointAt maps a sweep index dataset-major, exactly as hyve-sim does —
-// the merged artifact's order is hyve-sim's output order.
-func (j *simJob) pointAt(i int) (dataset, algon, config string) {
-	perDataset := len(j.spec.Algos) * len(j.spec.Configs)
-	return j.spec.Datasets[i/perDataset],
-		j.spec.Algos[i/len(j.spec.Configs)%len(j.spec.Algos)],
-		j.spec.Configs[i%len(j.spec.Configs)]
-}
+func (j *simJob) Points() int { return j.sweep.Len() }
 
 // Execute implements cluster.Job.
 func (j *simJob) Execute(ctx context.Context, i int) ([]byte, error) {
-	if i < 0 || i >= j.Points() {
-		return nil, fmt.Errorf("jobs: sim point %d outside sweep of %d", i, j.Points())
-	}
-	dn, an, cn := j.pointAt(i)
-	d, err := graph.DatasetByName(dn)
+	spec, err := j.sweep.At(i)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	p, err := algo.ByName(an)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := core.WorkloadFor(d, p)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := coreConfig(cn)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.UseOnChipSRAM {
-		cfg.SRAMBytes = j.spec.SRAMMB << 20
-	}
-	r, err := j.sched.SimulateCtx(ctx, cfg, wl)
-	if err != nil {
-		return nil, err
-	}
-	return cache.EncodeResult(r)
+	return point.Run(ctx, j.sched, spec)
 }
 
 // Validate implements cluster.Job: the payload must be a well-formed
 // canonical result document.
 func (j *simJob) Validate(i int, payload []byte) error {
-	if i < 0 || i >= j.Points() {
-		return fmt.Errorf("jobs: sim point %d outside sweep of %d", i, j.Points())
+	if _, err := j.sweep.At(i); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
 	_, err := cache.DecodeResult(payload)
 	return err

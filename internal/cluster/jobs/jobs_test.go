@@ -57,7 +57,7 @@ func workerHelper(addr string) int {
 // test time, wide enough to cross shard boundaries.
 func simSpecSmall(t *testing.T) ([]byte, cluster.Job) {
 	t.Helper()
-	spec, err := NewSimSpec([]string{"YT"}, []string{"PR", "BFS"}, []string{"hyve-opt", "sd"}, 2)
+	spec, err := NewSimSpec(SimSpec{Datasets: []string{"YT"}, Algos: []string{"PR", "BFS"}, Configs: []string{"hyve-opt", "sd"}, SRAMMB: 2})
 	if err != nil {
 		t.Fatalf("NewSimSpec: %v", err)
 	}
@@ -256,10 +256,10 @@ func TestCheckClusterZeroWorkers(t *testing.T) {
 
 // TestSpecValidation: impossible sweeps are refused before any lease.
 func TestSpecValidation(t *testing.T) {
-	if _, err := NewSimSpec([]string{"YT"}, []string{"PR"}, []string{"graphr"}, 2); err == nil {
+	if _, err := NewSimSpec(SimSpec{Datasets: []string{"YT"}, Algos: []string{"PR"}, Configs: []string{"graphr"}, SRAMMB: 2}); err == nil {
 		t.Fatal("graphr has no canonical result document; spec must be refused")
 	}
-	if _, err := NewSimSpec([]string{"NOPE"}, []string{"PR"}, []string{"hyve"}, 2); err == nil {
+	if _, err := NewSimSpec(SimSpec{Datasets: []string{"NOPE"}, Algos: []string{"PR"}, Configs: []string{"hyve"}, SRAMMB: 2}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 	if _, err := NewCheckSpec(1, 0, 0); err == nil {

@@ -33,17 +33,17 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
+	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/point"
 )
 
 // Metric names the service reports through the process-global Recorder
@@ -289,70 +289,6 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(r.Context(), d)
 }
 
-// --- point resolution ----------------------------------------------------
-
-// accConfigByName maps a wire config name to an accelerator Config.
-// The service simulates the five core configurations; the analytic
-// CPU/GraphR baselines have no core.Result and are not served.
-func accConfigByName(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q (want hyve, hyve-opt, sd, dram, reram)", name)
-}
-
-// pointSpec is one validated (dataset, algorithm, config) coordinate;
-// the workload is assembled lazily at execution time, inside the
-// bounded slot pool.
-type pointSpec struct {
-	dataset graph.Dataset
-	program algo.Program
-	cfgName string
-	sramMB  int64
-}
-
-func resolveSpec(dataset, algon, config string, sramMB int64) (pointSpec, error) {
-	d, err := graph.DatasetByName(dataset)
-	if err != nil {
-		return pointSpec{}, err
-	}
-	p, err := algo.ByName(algon)
-	if err != nil {
-		return pointSpec{}, err
-	}
-	if _, err := accConfigByName(config); err != nil {
-		return pointSpec{}, err
-	}
-	return pointSpec{dataset: d, program: p, cfgName: config, sramMB: sramMB}, nil
-}
-
-// assemble builds the executable (Config, Workload) pair for a spec —
-// identical to what a direct `hyve-sim -dataset -algo -config -sram`
-// invocation builds, which is what makes the wire bytes comparable.
-func (p pointSpec) assemble() (core.Config, core.Workload, error) {
-	cfg, err := accConfigByName(p.cfgName)
-	if err != nil {
-		return core.Config{}, core.Workload{}, err
-	}
-	if cfg.UseOnChipSRAM && p.sramMB > 0 {
-		cfg.SRAMBytes = p.sramMB << 20
-	}
-	w, err := core.WorkloadFor(p.dataset, p.program)
-	if err != nil {
-		return core.Config{}, core.Workload{}, err
-	}
-	return cfg, w, nil
-}
-
 // errBreakerOpen marks a rejection by an open circuit breaker.
 type errBreakerOpen struct {
 	dataset    string
@@ -363,15 +299,16 @@ func (e errBreakerOpen) Error() string {
 	return fmt.Sprintf("circuit breaker open for dataset %s (retry in %s)", e.dataset, e.retryAfter.Round(time.Millisecond))
 }
 
-// execPoint runs one spec under the breaker and the global slot pool
-// and returns the result and its content digest.
-func (s *Server) execPoint(ctx context.Context, spec pointSpec) (*core.Result, string, error) {
+// execPoint runs one parsed spec under the breaker and the global slot
+// pool and returns the result and its content digest. The workload is
+// assembled here, inside the slot, not at parse time.
+func (s *Server) execPoint(ctx context.Context, spec point.Spec) (*core.Result, string, error) {
 	rec := obs.Default()
-	br := s.breakers.get(spec.dataset.Name)
+	br := s.breakers.get(spec.Dataset)
 	allowed, retryAfter := br.Allow()
 	if !allowed {
 		rec.Count(MetricBreakerRejected, 1)
-		return nil, "", errBreakerOpen{dataset: spec.dataset.Name, retryAfter: retryAfter}
+		return nil, "", errBreakerOpen{dataset: spec.Dataset, retryAfter: retryAfter}
 	}
 	outcome := func(err error) {
 		// Client cancellation says nothing about the backend's health;
@@ -393,7 +330,7 @@ func (s *Server) execPoint(ctx context.Context, spec pointSpec) (*core.Result, s
 	}
 	defer func() { <-s.sem }()
 
-	cfg, w, err := spec.assemble()
+	cfg, w, err := spec.Resolve()
 	if err != nil {
 		outcome(err)
 		return nil, "", err
@@ -435,7 +372,8 @@ type PointRequest struct {
 	Algo    string `json:"algo"`
 	Config  string `json:"config"`
 	// SRAMMB overrides the per-PU on-chip vertex memory (MB) for
-	// configurations that have one; 0 keeps the configuration default.
+	// configurations that have one; 0 keeps the configuration default,
+	// and a negative or overflowing value is rejected (point.CheckSRAM).
 	SRAMMB int64 `json:"sram_mb,omitempty"`
 	// TimeoutMS shortens the server's per-request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -445,10 +383,13 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	runID := s.ids.NextString()
 	w.Header().Set("X-Hyve-Run-Id", runID)
 	var req PointRequest
-	if !decodeRequest(w, r, runID, &req) {
+	if !decodeRequest(w, r, runID, &req, func(q url.Values) error {
+		req.Dataset, req.Algo, req.Config = q.Get("dataset"), q.Get("algo"), q.Get("config")
+		return queryNumbers(q, &req.SRAMMB, &req.TimeoutMS)
+	}) {
 		return
 	}
-	spec, err := resolveSpec(req.Dataset, req.Algo, req.Config, req.SRAMMB)
+	spec, err := point.Spec{Dataset: req.Dataset, Algo: req.Algo, Config: req.Config, SRAMMB: req.SRAMMB}.Parse()
 	if err != nil {
 		reject(w, http.StatusBadRequest, 0, err.Error(), runID)
 		return
@@ -497,47 +438,59 @@ func retryAfterOf(err error) time.Duration {
 	return 0
 }
 
-// decodeRequest fills req from a POST JSON body or GET query
-// parameters, rejecting anything else.
-func decodeRequest(w http.ResponseWriter, r *http.Request, runID string, req *PointRequest) bool {
+// decodeRequest fills req from a POST JSON body, or on GET through
+// fromQuery from the query parameters, rejecting anything else.
+func decodeRequest(w http.ResponseWriter, r *http.Request, runID string, req any, fromQuery func(url.Values) error) bool {
+	var err error
 	switch r.Method {
 	case http.MethodPost:
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			reject(w, http.StatusBadRequest, 0, "invalid request body: "+err.Error(), runID)
-			return false
+		if err = dec.Decode(req); err != nil {
+			err = fmt.Errorf("invalid request body: %w", err)
 		}
 	case http.MethodGet:
-		q := r.URL.Query()
-		req.Dataset = q.Get("dataset")
-		req.Algo = q.Get("algo")
-		req.Config = q.Get("config")
-		if v := q.Get("sram_mb"); v != "" {
-			fmt.Sscanf(v, "%d", &req.SRAMMB)
-		}
-		if v := q.Get("timeout_ms"); v != "" {
-			fmt.Sscanf(v, "%d", &req.TimeoutMS)
-		}
+		err = fromQuery(r.URL.Query())
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		reject(w, http.StatusMethodNotAllowed, 0, "use GET with query parameters or POST with a JSON body", runID)
 		return false
 	}
+	if err != nil {
+		reject(w, http.StatusBadRequest, 0, err.Error(), runID)
+		return false
+	}
 	return true
+}
+
+// queryNumbers parses the optional sram_mb and timeout_ms query
+// parameters both endpoints take; an absent one leaves its field alone.
+func queryNumbers(q url.Values, sramMB, timeoutMS *int64) error {
+	for _, f := range [...]struct {
+		key string
+		dst *int64
+	}{{"sram_mb", sramMB}, {"timeout_ms", timeoutMS}} {
+		v := q.Get(f.key)
+		if v == "" {
+			continue
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("invalid %s %q: want a base-10 integer", f.key, v)
+		}
+		*f.dst = n
+	}
+	return nil
 }
 
 // --- /sweep --------------------------------------------------------------
 
 // SweepRequest is the /sweep request schema: the cross product of the
 // three lists, dataset-major then algorithm then configuration — the
-// same order hyve-sim sweeps.
+// same order hyve-sim sweeps (point.Sweep fixes it).
 type SweepRequest struct {
-	Datasets  []string `json:"datasets"`
-	Algos     []string `json:"algos"`
-	Configs   []string `json:"configs"`
-	SRAMMB    int64    `json:"sram_mb,omitempty"`
-	TimeoutMS int64    `json:"timeout_ms,omitempty"`
+	point.Sweep
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 // SweepEvent is one NDJSON line of a /sweep response stream.
@@ -568,33 +521,24 @@ type SweepEvent struct {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	runID := s.ids.NextString()
 	w.Header().Set("X-Hyve-Run-Id", runID)
-	req, ok := decodeSweepRequest(w, r, runID)
-	if !ok {
+	var req SweepRequest
+	if !decodeRequest(w, r, runID, &req, func(q url.Values) error {
+		req.Datasets = point.SplitList(q.Get("datasets"))
+		req.Algos = point.SplitList(q.Get("algos"))
+		req.Configs = point.SplitList(q.Get("configs"))
+		return queryNumbers(q, &req.SRAMMB, &req.TimeoutMS)
+	}) {
 		return
 	}
-	specs := make([]pointSpec, 0, len(req.Datasets)*len(req.Algos)*len(req.Configs))
-	if len(req.Datasets) == 0 || len(req.Algos) == 0 || len(req.Configs) == 0 {
-		reject(w, http.StatusBadRequest, 0, "datasets, algos, and configs must each name at least one value", runID)
-		return
-	}
-	names := make([][3]string, 0, cap(specs))
-	for _, d := range req.Datasets {
-		for _, a := range req.Algos {
-			for _, c := range req.Configs {
-				spec, err := resolveSpec(d, a, c, req.SRAMMB)
-				if err != nil {
-					reject(w, http.StatusBadRequest, 0, err.Error(), runID)
-					return
-				}
-				specs = append(specs, spec)
-				names = append(names, [3]string{d, a, c})
-			}
-		}
-	}
-	n := len(specs)
+	n := req.Len()
 	if n > s.cfg.MaxSweepPoints {
 		reject(w, http.StatusBadRequest, 0,
 			fmt.Sprintf("sweep of %d points exceeds the %d-point limit", n, s.cfg.MaxSweepPoints), runID)
+		return
+	}
+	specs, err := req.Specs()
+	if err != nil {
+		reject(w, http.StatusBadRequest, 0, err.Error(), runID)
 		return
 	}
 	release, ok := s.admit(w, runID, n)
@@ -651,9 +595,10 @@ emitLoop:
 			break emitLoop
 		}
 		idx := i
+		p, _ := req.At(i) // the coordinate as requested, before Parse
 		ev := SweepEvent{
 			RunID: runID, Index: &idx,
-			Dataset: names[i][0], Algo: names[i][1], Config: names[i][2],
+			Dataset: p.Dataset, Algo: p.Algo, Config: p.Config,
 			Digest: digests[i],
 		}
 		if errs[i] != nil {
@@ -686,47 +631,6 @@ emitLoop:
 		sp.SetAttr("aborted", "true")
 	}
 	s.logRequest("sweep", runID, r, ctx.Err())
-}
-
-// decodeSweepRequest fills a SweepRequest from POST JSON or GET query
-// parameters (comma-separated lists).
-func decodeSweepRequest(w http.ResponseWriter, r *http.Request, runID string) (SweepRequest, bool) {
-	var req SweepRequest
-	switch r.Method {
-	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			reject(w, http.StatusBadRequest, 0, "invalid request body: "+err.Error(), runID)
-			return req, false
-		}
-	case http.MethodGet:
-		q := r.URL.Query()
-		req.Datasets = splitList(q.Get("datasets"))
-		req.Algos = splitList(q.Get("algos"))
-		req.Configs = splitList(q.Get("configs"))
-		if v := q.Get("sram_mb"); v != "" {
-			fmt.Sscanf(v, "%d", &req.SRAMMB)
-		}
-		if v := q.Get("timeout_ms"); v != "" {
-			fmt.Sscanf(v, "%d", &req.TimeoutMS)
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		reject(w, http.StatusMethodNotAllowed, 0, "use GET with query parameters or POST with a JSON body", runID)
-		return req, false
-	}
-	return req, true
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // --- /healthz ------------------------------------------------------------

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/point"
 )
 
 // smallResult is a once-computed real simulation result the fake
@@ -200,6 +201,76 @@ func TestPointValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidSRAMKeepsBreakerClosed: an sram_mb whose byte count
+// overflows is the client's error, rejected with 400 at parse time. It
+// never reaches execution, so the dataset's breaker never counts it and
+// a valid request right after is served.
+func TestInvalidSRAMKeepsBreakerClosed(t *testing.T) {
+	srv := New(Config{Rate: 1e6, Burst: 1 << 20}) // real execution path
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	bad := PointRequest{Dataset: "YT", Algo: "PR", Config: "hyve", SRAMMB: 1 << 44}
+	for i := 0; i < 5; i++ {
+		resp := postJSON(t, ts.URL+"/point", bad)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("overflowing sram_mb request %d status = %d, want 400 (body %s)", i, resp.StatusCode, body)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/sweep", SweepRequest{Sweep: point.Sweep{
+		Datasets: []string{"YT"}, Algos: []string{"PR"}, Configs: []string{"hyve"}, SRAMMB: -1,
+	}})
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative sram_mb sweep status = %d, want 400", resp.StatusCode)
+	}
+
+	resp = postJSON(t, ts.URL+"/point", PointRequest{Dataset: "YT", Algo: "PR", Config: "hyve"})
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after bad ones status = %d, want 200 (body %s)", resp.StatusCode, body)
+	}
+}
+
+// TestQueryNumbersStrict: GET integer parameters must parse whole, and
+// sram_mb must obey the SRAM rule; anything else is a 400, never a
+// silently defaulted or truncated value.
+func TestQueryNumbersStrict(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"sram_mb=4", http.StatusOK},
+		{"sram_mb=0", http.StatusOK},
+		{"timeout_ms=30000", http.StatusOK},
+		{"sram_mb=abc", http.StatusBadRequest},
+		{"sram_mb=-4", http.StatusBadRequest},
+		{"sram_mb=12abc", http.StatusBadRequest},
+		{"sram_mb=17592186044416", http.StatusBadRequest},
+		{"sram_mb=99999999999999999999", http.StatusBadRequest},
+		{"timeout_ms=abc", http.StatusBadRequest},
+		{"timeout_ms=5s", http.StatusBadRequest},
+	} {
+		for _, path := range []string{
+			"/point?dataset=YT&algo=PR&config=sd&",
+			"/sweep?datasets=YT&algos=PR&configs=sd&",
+		} {
+			resp, err := http.Get(ts.URL + path + tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp)
+			if resp.StatusCode != tc.want {
+				t.Errorf("GET %s%s: status = %d, want %d (body %s)", path, tc.query, resp.StatusCode, tc.want, body)
+			}
+		}
+	}
+}
+
 // TestOverloadRejectsWith429 pins the admission contract: past the
 // token budget, requests get 429 with a Retry-After hint instead of
 // queueing without bound.
@@ -228,9 +299,9 @@ func TestOverloadRejectsWith429(t *testing.T) {
 	}
 
 	// A sweep spends one token per point: 2 points > burst of 1.
-	resp = postJSON(t, ts.URL+"/sweep", SweepRequest{
+	resp = postJSON(t, ts.URL+"/sweep", SweepRequest{Sweep: point.Sweep{
 		Datasets: []string{"YT"}, Algos: []string{"PR", "BFS"}, Configs: []string{"sd"},
-	})
+	}})
 	readAll(t, resp)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("oversized sweep status = %d, want 429", resp.StatusCode)
@@ -297,9 +368,9 @@ func TestSweepStreamsOrderedEvents(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/sweep", SweepRequest{
+	resp := postJSON(t, ts.URL+"/sweep", SweepRequest{Sweep: point.Sweep{
 		Datasets: []string{"YT"}, Algos: []string{"PR", "BFS"}, Configs: []string{"sd", "dram"},
-	})
+	}})
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
@@ -353,9 +424,9 @@ func TestSweepStreamsPointErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/sweep", SweepRequest{
+	resp := postJSON(t, ts.URL+"/sweep", SweepRequest{Sweep: point.Sweep{
 		Datasets: []string{"YT"}, Algos: []string{"PR", "BFS"}, Configs: []string{"sd"},
-	})
+	}})
 	body := readAll(t, resp)
 	evs := decodeSweepEvents(t, body)
 	if len(evs) != 4 {
