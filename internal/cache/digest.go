@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -107,31 +106,15 @@ func (h *Hasher) Sum() Digest {
 	return d
 }
 
-// graphDigests memoizes per-graph content hashes. Topology is immutable
-// after generation (the graph package's contract — OutDegrees memoizes on
-// the same ground), so one hash per *Graph is safe for the process
-// lifetime; entries are dropped with the graph itself once unreferenced
-// keys stop being looked up (the map holds the graph alive, which is
-// acceptable: workloads are already cached for the process lifetime by
-// the experiment layer).
-var graphDigests sync.Map // *graph.Graph → Digest
-
 // GraphDigest hashes the graph's actual content — vertex count, the edge
 // list, and weights when present — so two differently labeled or
 // differently provenanced instances with equal structure share an
 // identity, and a re-scaled or re-seeded instance under the same dataset
-// name cannot collide. The byte stream is graph.ContentDigest (the same
-// digest v2 containers carry in their headers, which is what makes a
-// prepared-file load and an in-process generation indistinguishable
-// here); this wrapper memoizes it per instance.
-func GraphDigest(g *graph.Graph) Digest {
-	if v, ok := graphDigests.Load(g); ok {
-		return v.(Digest)
-	}
-	d := Digest(graph.ContentDigest(g))
-	actual, _ := graphDigests.LoadOrStore(g, d)
-	return actual.(Digest)
-}
+// name cannot collide. It is graph.ContentDigest (the same digest v2
+// containers carry in their headers, which is what makes a prepared-file
+// load and an in-process generation indistinguishable here), memoized on
+// the graph instance and dropped with it.
+func GraphDigest(g *graph.Graph) Digest { return Digest(graph.ContentDigest(g)) }
 
 // PointDigest computes the canonical identity of one simulation point:
 // every Config and Workload field that can influence result bytes,

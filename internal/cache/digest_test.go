@@ -2,7 +2,9 @@ package cache
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/algo"
 	"repro/internal/core"
@@ -160,6 +162,44 @@ func TestGraphDigestContentAddressed(t *testing.T) {
 	// Memoized: repeated calls on one instance agree.
 	if GraphDigest(g1) != GraphDigest(g1) {
 		t.Error("memoized digest unstable")
+	}
+}
+
+// TestDroppedGraphIsCollected: digesting and simulating a graph and its
+// weighted sibling keeps neither alive past the caller's last reference.
+// The digest and functional memos live on the graphs and die with them;
+// no process-wide table holds a graph.
+func TestDroppedGraphIsCollected(t *testing.T) {
+	collected := make(chan string, 2)
+	func() {
+		g, err := graph.GenerateUniform(256, 1024, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg := g.WithUniformWeights(8, 1)
+		for _, w := range []core.Workload{
+			{DatasetName: "test", Graph: g, Program: algo.NewPageRank()},
+			{DatasetName: "test", Graph: wg, Program: algo.NewSSSP(0)},
+		} {
+			mustDigest(t, core.HyVE(), w)
+			if _, err := core.Simulate(core.HyVE(), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		note := func(*graph.Graph) { collected <- "" }
+		runtime.SetFinalizer(g, note)
+		runtime.SetFinalizer(wg, note)
+	}()
+	deadline := time.After(10 * time.Second)
+	for n := 0; n < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			n++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of 2 dropped graphs collected after 10 s of GC", n)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/algo"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -79,6 +80,35 @@ func (s *machine) runFunctional() (*algo.Result, error) {
 		UpdatedGathers: st.UpdatedGathers,
 		Converged:      st.Converged,
 	}, nil
+}
+
+// functionalKey keys the functional summary memoized on a graph. It
+// holds the program itself, matched by value (graph.Memo compares keys
+// with reflect.DeepEqual), never by Name(): NewPageRankConverge, rooted
+// BFS/SSSP and warm starts share a name but not a run.
+type functionalKey struct{ prog algo.Program }
+
+// FunctionalSummary returns the outcome of running p on g to completion
+// (algo.Run) with Values dropped: the iteration count, the edge
+// counters and the convergence flag, which is all the cost model needs.
+// It is memoized on g, so the hierarchies simulated on one graph ×
+// program pay for one functional run, and concurrent callers coalesce.
+// The summary depends only on the program and the graph, never on the
+// configuration; p must not change once it has been run. The result is
+// shared by every caller and must be treated as read-only.
+func FunctionalSummary(g *graph.Graph, p algo.Program) (*algo.Result, error) {
+	v, err := g.Memo(functionalKey{p}, func() (any, error) {
+		fr, err := algo.Run(p, g)
+		if err != nil {
+			return nil, err
+		}
+		fr.Values = nil // a memo must not pin |V| values for the graph's lifetime
+		return fr, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*algo.Result), nil
 }
 
 // Grid exposes the simulator's partition for inspection in tests and

@@ -13,7 +13,6 @@ package cpusim
 import (
 	"fmt"
 
-	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/graph"
@@ -110,7 +109,7 @@ func Simulate(m Model, w core.Workload) (*energy.Report, error) {
 	iters := w.Iterations
 	var edges int64
 	if iters <= 0 {
-		fr, err := algo.Run(w.Program, w.Graph)
+		fr, err := core.FunctionalSummary(w.Graph, w.Program)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/cache"
@@ -247,61 +246,35 @@ func ids() []string {
 	return out
 }
 
-// --- workload assembly with memoized functional runs -------------------
-
-// wlEntry is one memoized workload: assembly and the functional run both
-// happen exactly once, under the entry's Once, no matter how many
-// concurrent runners ask for the same (dataset, program) point.
-type wlEntry struct {
-	once sync.Once
-	wl   core.Workload
-	err  error
-}
-
-// wlCache memoizes assembled workloads. The key includes the dataset's
-// scale divisor and generator seed, not just its name: two sweeps
-// running concurrently against differently scaled or reseeded variants
-// of the same dataset would otherwise cross-pollinate cached functional
-// outcomes (iteration counts, activity factors) and silently corrupt
-// each other's tables.
-var wlCache sync.Map // wlKey → *wlEntry
-
-func wlKey(d graph.Dataset, progName string) string {
-	return fmt.Sprintf("%s/%s/scale%d/seed%x", progName, d.Name, d.Scale, d.Seed)
-}
+// --- workload assembly ----------------------------------------------------
 
 // workloadFor builds the standard workload for (dataset, program) with
-// the functional outcome (iteration count, activity factors) memoized
-// across runners: it depends only on the program and graph, not on the
-// architecture. The cached workload shares its graph and program across
-// callers; both are read-only during simulation (programs are stateless,
-// graphs are never mutated after generation), which is what makes
+// the functional outcome (iteration count, activity factors) filled in.
+// Nothing is cached here: core.WorkloadFor returns the one memoized
+// instance per dataset (and its one weighted sibling), and the
+// functional summary is memoized on that graph, so every runner asking
+// for the same point shares one functional run. The key space is the
+// graph instance itself — scale and seed included — so differently
+// scaled or reseeded variants of a dataset never share outcomes. Graphs
+// and programs are read-only during simulation, which is what makes
 // concurrent core.Simulate calls on the same workload race-free.
 func workloadFor(d graph.Dataset, progName string) (core.Workload, error) {
-	v, _ := wlCache.LoadOrStore(wlKey(d, progName), &wlEntry{})
-	e := v.(*wlEntry)
-	e.once.Do(func() {
-		p, err := algo.ByName(progName)
-		if err != nil {
-			e.err = err
-			return
-		}
-		w, err := core.WorkloadFor(d, p)
-		if err != nil {
-			e.err = err
-			return
-		}
-		fr, err := algo.Run(w.Program, w.Graph)
-		if err != nil {
-			e.err = err
-			return
-		}
-		w.Iterations = fr.Iterations
-		w.ActivityFactor = fr.ActivityRatio()
-		w.UpdateFactor = fr.UpdateRatio()
-		e.wl = w
-	})
-	return e.wl, e.err
+	p, err := algo.ByName(progName)
+	if err != nil {
+		return core.Workload{}, err
+	}
+	w, err := core.WorkloadFor(d, p)
+	if err != nil {
+		return core.Workload{}, err
+	}
+	fr, err := core.FunctionalSummary(w.Graph, w.Program)
+	if err != nil {
+		return core.Workload{}, err
+	}
+	w.Iterations = fr.Iterations
+	w.ActivityFactor = fr.ActivityRatio()
+	w.UpdateFactor = fr.UpdateRatio()
+	return w, nil
 }
 
 // --- tiny aligned-table writer ------------------------------------------

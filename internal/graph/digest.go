@@ -8,16 +8,25 @@ import (
 
 // ContentDigest hashes the graph's actual content — vertex count, the
 // edge list in exact order, and weights when present. It is the byte
-// stream behind cache.GraphDigest (which memoizes it per instance): two
-// differently provenanced graphs with equal structure share an identity,
-// which is exactly what makes a v2 container load and an in-process
-// generation of the same dataset interchangeable under cache.PointDigest.
-// The same digest is stamped into v2 container headers at write time.
+// stream behind cache.GraphDigest: two differently provenanced graphs
+// with equal structure share an identity, which is exactly what makes a
+// v2 container load and an in-process generation of the same dataset
+// interchangeable under cache.PointDigest. The same digest is stamped
+// into v2 container headers at write time.
+//
+// The hash is computed once per instance and memoized on the graph
+// (sync.Once, as OutDegrees), which the immutability contract on Graph
+// makes safe; it dies with the graph.
 //
 // Edge order matters and must: the grid build (and therefore every
 // float accumulation order downstream) follows edge-list order, so only
 // an order-exact hash can stand in for "same simulation input".
 func ContentDigest(g *Graph) [sha256.Size]byte {
+	g.digestOnce.Do(func() { g.digest = contentDigest(g) })
+	return g.digest
+}
+
+func contentDigest(g *Graph) [sha256.Size]byte {
 	h := sha256.New()
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], uint64(g.NumVertices))

@@ -188,11 +188,18 @@ func GenerateChain(numVertices int) (*Graph, error) {
 }
 
 // AttachUniformWeights adds deterministic pseudo-random edge weights in
-// (0, maxWeight] to g, for SSSP and SpMV workloads.
+// (0, maxWeight] to g, for SSSP and SpMV workloads. It mutates g, so it
+// must run before g is shared; WithUniformWeights is the sharing-safe
+// form.
 func AttachUniformWeights(g *Graph, maxWeight float32, seed uint64) {
+	g.Weights = uniformWeights(len(g.Edges), maxWeight, seed)
+}
+
+func uniformWeights(n int, maxWeight float32, seed uint64) []float32 {
 	rng := NewRNG(seed)
-	g.Weights = make([]float32, len(g.Edges))
-	for i := range g.Weights {
-		g.Weights[i] = maxWeight * float32(1-rng.Float64())
+	w := make([]float32, n)
+	for i := range w {
+		w[i] = maxWeight * float32(1-rng.Float64())
 	}
+	return w
 }

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -36,11 +37,14 @@ const EdgeBytes = 8
 // SSSP/SpMV); per the paper, weights never change during execution.
 //
 // Topology is immutable after generation: once any consumer has seen the
-// graph (a state, a partition, a degree query), Edges and NumVertices
-// must not change. Dynamic-graph workloads (internal/dynamic) snapshot
-// into fresh Graphs instead of mutating one in place. OutDegrees relies
-// on this contract to memoize; SortEdges and AttachUniformWeights are
-// generation-time steps that run before the graph is shared.
+// graph (a state, a partition, a degree query, a digest), Edges, Weights
+// and NumVertices must not change. Dynamic-graph workloads
+// (internal/dynamic) snapshot into fresh Graphs instead of mutating one
+// in place. OutDegrees, ContentDigest and Memo rely on this contract to
+// memoize per instance. SortEdges and AttachUniformWeights are
+// generation-time steps: they must never run on a shared graph. A
+// weighted sibling (WithUniformWeights) aliases its parent's Edges, so
+// sorting either one would reorder both; Clone first instead.
 type Graph struct {
 	NumVertices int
 	Edges       []Edge
@@ -48,6 +52,12 @@ type Graph struct {
 
 	outDegOnce sync.Once
 	outDeg     []uint32
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+
+	memoMu sync.Mutex
+	memos  []*memo
 
 	// prep, when non-nil, is the pre-partitioned grid payload attached by
 	// the v2 container this graph was materialized from (see v2read.go).
@@ -145,10 +155,12 @@ func (g *Graph) InDegrees() []uint32 {
 	return deg
 }
 
-// Clone returns a deep copy of the graph. Container provenance (the
-// prepared-grid payload) is not copied: a clone is about to be mutated
-// (e.g. AttachUniformWeights), which would desynchronize it from the
-// stored layout.
+// Clone returns a deep copy of the graph, the one way to get a graph a
+// caller may mutate (e.g. SortEdges) out of a shared one. Nothing
+// derived from the original is copied: not its memos, and not its
+// container provenance (the prepared-grid payload), which a mutation
+// would desynchronize from the stored layout. To add weights, use
+// WithUniformWeights, which copies nothing.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{NumVertices: g.NumVertices, Edges: append([]Edge(nil), g.Edges...)}
 	if g.Weights != nil {

@@ -16,7 +16,6 @@ package graphr
 import (
 	"fmt"
 
-	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/device/crossbar"
@@ -144,7 +143,7 @@ func Simulate(cfg Config, w core.Workload) (*Result, error) {
 	iters := w.Iterations
 	var edgesProcessed int64
 	if iters <= 0 {
-		fr, err := algo.Run(w.Program, w.Graph)
+		fr, err := core.FunctionalSummary(w.Graph, w.Program)
 		if err != nil {
 			return nil, err
 		}
