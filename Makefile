@@ -14,8 +14,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also fails when any file (bench/ included) is not gofmt-clean; the
+# gofmt is the one shipped with $(GO).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($$($(GO) env GOROOT)/bin/gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: $$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

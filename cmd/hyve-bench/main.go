@@ -12,7 +12,7 @@
 //	hyve-bench -cache-dir c    # content-addressed result cache across runs
 //	hyve-bench -scale 4        # multiply every dataset's down-scale divisor
 //	hyve-bench -seed 7         # re-seed every dataset generator (XOR)
-//	hyve-bench -pprof :6060    # serve pprof, expvar, /metrics, /debug/flight, /debug/trace
+//	hyve-bench -pprof :6060    # serve pprof, /metrics, /debug/flight, /debug/trace
 //	hyve-bench -log-level warn # quieter progress (debug|info|warn|error)
 //	hyve-bench -trace t.json   # export the span trace (Chrome trace_event)
 //
@@ -69,7 +69,7 @@ func main() {
 		par      = flag.Int("parallel", 0, "worker count for simulation points and concurrent experiments (0 = GOMAXPROCS, 1 = serial)")
 		artDir   = flag.String("artifact-dir", "", "also write one canonical JSON artifact per experiment (plus manifest.json) to this directory")
 		resume   = flag.Bool("resume", false, "with -artifact-dir: skip experiments whose artifact file already exists, validates, and matches the current options digest; rerun missing, damaged, or differently-configured ones")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar worker-pool counters on this address (e.g. :6060)")
+		pprof    = flag.String("pprof", "", "serve net/http/pprof, /metrics (worker-pool counters included), /debug/flight and /debug/trace on this address (e.g. :6060)")
 		scale    = flag.Int("scale", 1, "multiply every dataset's down-scale divisor by this factor (1 = paper scales)")
 		seed     = flag.Uint64("seed", 0, "XOR this into every dataset's generator seed (0 = paper seeds)")
 		cacheDir = flag.String("cache-dir", "", "persist simulation results in an on-disk content-addressed cache rooted here, reused across runs")
@@ -100,8 +100,8 @@ func main() {
 	}
 
 	if *pprof != "" {
-		// The full introspection surface — /metrics, pprof, expvar,
-		// flight recorder, span trace — on one properly configured server
+		// The full introspection surface — /metrics, pprof, flight
+		// recorder, span trace — on one properly configured server
 		// (header timeouts, explicit mux, graceful shutdown on exit), not
 		// a bare ListenAndServe on the default mux.
 		srv := serve.DebugServer(*pprof)
@@ -112,7 +112,7 @@ func main() {
 		}()
 		defer serve.ShutdownServer(srv, 5*time.Second)
 		log.Info("observability.listening", "addr", *pprof,
-			"endpoints", "/metrics /debug/pprof /debug/vars /debug/flight /debug/trace")
+			"endpoints", "/metrics /debug/pprof /debug/flight /debug/trace")
 	}
 	if *trace != "" && !obs.TracingEnabled() {
 		obs.EnableTracing(0)
@@ -126,10 +126,11 @@ func main() {
 	if *scale > 1 || *seed != 0 {
 		opt.Datasets = scaledDatasets(*quick, *scale, *seed)
 	}
-	switch {
-	case *noCache:
+	// One scheduler for the whole run, so points shared between
+	// experiments execute once.
+	if *noCache {
 		opt.Cache = cache.Off()
-	case *cacheDir != "":
+	} else {
 		opt.Cache = cache.New(cache.Config{Dir: *cacheDir})
 	}
 	todo, err := selectExperiments(*run)

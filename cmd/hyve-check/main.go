@@ -9,15 +9,11 @@
 //	hyve-check                       # 30s budget, seed 1
 //	hyve-check -seed 42 -points 1 -v # reproduce one reported point
 //	hyve-check -list                 # invariants and tolerances
-//	hyve-check -cache-dir c          # share the on-disk result cache
-//	hyve-check -no-cache             # private machine per point
 //	hyve-check -pprof :6060          # serve pprof, /metrics, /debug/flight
 //	hyve-check -points 16 -workers 4 # sweep through the cluster machinery
 //
-// By default the sweep resolves machines through a per-sweep in-memory
-// cache scheduler; -cache-dir shares the persistent content-addressed
-// store with hyve-bench, and -no-cache disables all sharing so every
-// point assembles its own machine (the pre-cache behavior).
+// Every point draws a fresh graph and assembles its own machine, shared
+// by that point's invariants and by nothing else.
 //
 // Exit status is 0 when every invariant held at every point, 1 when a
 // violation was found, 2 on setup failure — or when points hit
@@ -39,7 +35,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/cluster/jobs"
 	"repro/internal/obs"
@@ -63,9 +58,7 @@ func run(args []string, out, errOut io.Writer) int {
 	pointTimeout := fs.Duration("point-timeout", 60*time.Second, "abandon any single point that runs longer than this, record its seed, and continue (0 = no limit)")
 	verbose := fs.Bool("v", false, "print every point, not just failures")
 	list := fs.Bool("list", false, "list invariants and tolerances, then exit")
-	cacheDir := fs.String("cache-dir", "", "share the on-disk content-addressed result cache rooted here")
-	noCache := fs.Bool("no-cache", false, "disable machine/result sharing; every point builds privately")
-	pprof := fs.String("pprof", "", "serve pprof, expvar, /metrics, /debug/flight, and /debug/trace on this address (e.g. :6060)")
+	pprof := fs.String("pprof", "", "serve pprof, /metrics, /debug/flight, and /debug/trace on this address (e.g. :6060)")
 	workers := fs.Int("workers", -1, "run the sweep through the cluster machinery with this many in-process workers (requires -points; 0 = coordinator-local degradation path; -1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -95,14 +88,6 @@ func run(args []string, out, errOut io.Writer) int {
 		defer serve.ShutdownServer(srv, 5*time.Second)
 	}
 
-	var sched *cache.Scheduler // nil = per-sweep in-memory default
-	switch {
-	case *noCache:
-		sched = cache.Off()
-	case *cacheDir != "":
-		sched = cache.New(cache.Config{Dir: *cacheDir})
-	}
-
 	opt := check.Options{
 		Seed:         *seed,
 		Points:       *points,
@@ -110,7 +95,6 @@ func run(args []string, out, errOut io.Writer) int {
 		Verbose:      *verbose,
 		Out:          out,
 		PointTimeout: *pointTimeout,
-		Cache:        sched,
 	}
 	var sum *check.Summary
 	var err error

@@ -1,17 +1,16 @@
 // Command hyve-prep performs HyVE's one-shot preprocessing: read a graph
-// (SNAP-style text edge list, the repository's binary format, a v2
-// container, a named dataset, or a synthetic generator spec), apply
-// interval-block partitioning, and report layout statistics — or compile
-// the graph into an on-disk form. With -format v2 it acts as the offline
-// compiler for the zero-copy container format: edge list in generation
-// order, optional compressed CSR sections, optional pre-partitioned grid
+// (SNAP-style text edge list, a v2 container, a named dataset, or a
+// synthetic generator spec), apply interval-block partitioning, and
+// report layout statistics — or, with -out, act as the offline compiler
+// for the zero-copy v2 container format: edge list in generation order,
+// optional compressed CSR sections, optional pre-partitioned grid
 // sections at exactly the P a simulation will request (-grid auto), all
 // mmap-loadable by hyve-bench/hyve-sim/hyve-serve via -prep-dir.
 //
 // Usage:
 //
 //	hyve-prep -in graph.txt -p 16 -stats
-//	hyve-prep -gen rmat:100000:800000 -out graph.bin
+//	hyve-prep -gen rmat:100000:800000 -out graph.hyve2
 //	hyve-prep -dataset YT -out prep/YT.s8.hyve2 -grid auto -verify
 //	hyve-prep -in prep/YT.s8.hyve2 -verify
 package main
@@ -35,7 +34,6 @@ type options struct {
 	in, gen, dataset string
 	scale            int
 	out              string
-	format           string
 	csr              bool
 	grid             string
 	config, algoName string
@@ -51,12 +49,11 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.in, "in", "", "input graph (.txt edge list, .bin, or .hyve2 container)")
+	flag.StringVar(&o.in, "in", "", "input graph (.hyve2 container, otherwise a text edge list)")
 	flag.StringVar(&o.gen, "gen", "", "synthetic spec: rmat:V:E[:seed] or uniform:V:E[:seed]")
 	flag.StringVar(&o.dataset, "dataset", "", "named dataset instance to generate (YT, WK, AS, LJ, TW)")
 	flag.IntVar(&o.scale, "scale", 0, "override the dataset's down-scale divisor (0 = dataset default, 1 = full scale)")
-	flag.StringVar(&o.out, "out", "", "write the graph to this path")
-	flag.StringVar(&o.format, "format", "", "output format: bin or v2 (default: by -out extension, .hyve2 = v2)")
+	flag.StringVar(&o.out, "out", "", "compile the graph into a v2 container at this path (must end in .hyve2)")
 	flag.BoolVar(&o.csr, "csr", true, "include compressed CSR sections in v2 output")
 	flag.StringVar(&o.grid, "grid", "off", "v2 grid sections: off, auto (P from -config/-algo), or an explicit P")
 	flag.StringVar(&o.config, "config", "hyve-opt", "accelerator config for -grid auto: "+strings.Join(point.Names(), ", "))
@@ -77,6 +74,9 @@ func main() {
 }
 
 func run(o options) error {
+	if o.out != "" && !strings.HasSuffix(o.out, ".hyve2") {
+		return fmt.Errorf("-out %q: hyve-prep writes v2 containers, which must end in .hyve2", o.out)
+	}
 	g, seed, ds, err := load(o)
 	if err != nil {
 		return err
@@ -107,25 +107,8 @@ func run(o options) error {
 	}
 
 	if o.out != "" {
-		format := o.format
-		if format == "" {
-			if strings.HasSuffix(o.out, ".hyve2") {
-				format = "v2"
-			} else {
-				format = "bin"
-			}
-		}
-		switch format {
-		case "bin":
-			if err := writeBin(o.out, g); err != nil {
-				return err
-			}
-		case "v2":
-			if err := writeV2(o, g, seed, ds); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown -format %q (want bin or v2)", format)
+		if err := writeV2(o, g, seed, ds); err != nil {
+			return err
 		}
 	}
 
@@ -182,19 +165,6 @@ func partitionStats(o options, g *graph.Graph) error {
 		}
 		fmt.Printf("wrote edge-memory image: %s (%d bytes, %d block headers)\n", o.image, len(img), o.p*o.p)
 	}
-	return nil
-}
-
-func writeBin(out string, g *graph.Graph) error {
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := graph.WriteBinary(f, g); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	return nil
 }
 
@@ -418,10 +388,6 @@ func load(o options) (*graph.Graph, uint64, *graph.Dataset, error) {
 			return nil, 0, nil, err
 		}
 		defer f.Close()
-		if strings.HasSuffix(o.in, ".bin") {
-			g, err := graph.ReadBinary(f)
-			return g, 0, nil, err
-		}
 		g, err := graph.ParseEdgeList(f)
 		return g, 0, nil, err
 	case o.gen != "":

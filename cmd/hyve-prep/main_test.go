@@ -61,7 +61,7 @@ func TestLoadDispatch(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "g.bin")
+	out := filepath.Join(dir, "g.hyve2")
 	img := filepath.Join(dir, "g.img")
 	o := options{gen: "rmat:2000:9000:4", out: out, p: 16, hashed: true, occupancy: 8, stats: true, image: img}
 	if err := run(o); err != nil {
@@ -76,11 +76,15 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("image size %d, want %d", info.Size(), want)
 	}
 	if _, err := os.Stat(out); err != nil {
-		t.Fatalf("binary not written: %v", err)
+		t.Fatalf("container not written: %v", err)
 	}
-	// Read the binary back through the full pipeline.
+	// Read the container back through the full pipeline.
 	if err := run(options{in: out, p: 8, stats: true}); err != nil {
-		t.Fatalf("run (read binary): %v", err)
+		t.Fatalf("run (read container): %v", err)
+	}
+	// Any other output name is refused before the graph is built.
+	if err := run(options{gen: "rmat:2000:9000:4", out: filepath.Join(dir, "g.bin")}); err == nil {
+		t.Fatal("-out without .hyve2 accepted")
 	}
 	// Text edge-list path.
 	txt := filepath.Join(dir, "g.txt")
@@ -94,7 +98,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 // TestRunV2Compile drives the offline-compiler path end to end: compile
 // a generated graph to a v2 container with CSR and grid sections, verify
-// it, then reload it through -in and recompile to binary.
+// it, then reload it through -in and verify it again.
 func TestRunV2Compile(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "g.hyve2")

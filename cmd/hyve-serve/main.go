@@ -18,7 +18,7 @@
 //	POST /sweep    {"datasets":[...],"algos":[...],"configs":[...]}
 //	GET  /healthz  liveness + drain state
 //	GET  /metrics  Prometheus text (hyve_serve_* families and the rest)
-//	     /debug/pprof /debug/vars /debug/flight /debug/trace
+//	     /debug/pprof /debug/flight /debug/trace
 //
 // A point response body is byte-identical to the canonical result
 // document a direct `hyve-sim -result` run of the same point prints;
@@ -74,10 +74,10 @@ func main() {
 	log := obs.NewLogger(os.Stderr, level)
 	obs.SetFlightDump(os.Stderr)
 
-	// Full observability stack from the start: recorder into expvar +
-	// Prometheus, span tracing on, every metric family announced at zero
-	// so the first scrape sees the complete set.
-	obs.SetDefault(obs.Multi(obs.Expvar(), obs.Metrics()))
+	// Full observability stack from the start: recorder into the
+	// Prometheus registry, span tracing on, every metric family announced
+	// at zero so the first scrape sees the complete set.
+	obs.SetDefault(obs.Metrics())
 	obs.EnableTracing(0)
 	cache.RegisterMetrics(obs.Default())
 	serve.RegisterMetrics(obs.Default())

@@ -166,11 +166,13 @@ func TestGraphDigestContentAddressed(t *testing.T) {
 }
 
 // TestDroppedGraphIsCollected: digesting and simulating a graph and its
-// weighted sibling keeps neither alive past the caller's last reference.
-// The digest and functional memos live on the graphs and die with them;
-// no process-wide table holds a graph.
+// weighted sibling, directly and through a scheduler that outlives them,
+// keeps neither alive past the caller's last reference. The digest and
+// functional memos live on the graphs and die with them; no
+// process-wide table holds a graph, and a scheduler holds only results.
 func TestDroppedGraphIsCollected(t *testing.T) {
 	collected := make(chan string, 2)
+	s := New(Config{})
 	func() {
 		g, err := graph.GenerateUniform(256, 1024, 42)
 		if err != nil {
@@ -183,6 +185,9 @@ func TestDroppedGraphIsCollected(t *testing.T) {
 		} {
 			mustDigest(t, core.HyVE(), w)
 			if _, err := core.Simulate(core.HyVE(), w); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Simulate(core.HyVE(), w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -201,6 +206,7 @@ func TestDroppedGraphIsCollected(t *testing.T) {
 			t.Fatalf("%d of 2 dropped graphs collected after 10 s of GC", n)
 		}
 	}
+	runtime.KeepAlive(s)
 }
 
 // TestDigestCoversEveryField pins the field count of every struct the

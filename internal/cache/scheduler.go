@@ -18,21 +18,11 @@ type Config struct {
 	// content-addressed result store rooted there, so identical points
 	// are reused across processes, not just within one.
 	Dir string
-	// MemResults bounds the in-memory result LRU (entries across all
-	// shards; results are ~1 KB each). 0 means DefaultMemResults.
-	MemResults int
-	// MemMachines bounds the assembled-machine LRU. Machines hold their
-	// partitioned grid, so this is the scheduler's real memory knob;
-	// a machine is only needed on the execution path (a result hit never
-	// builds one). 0 means DefaultMemMachines.
-	MemMachines int
 }
 
-// Default LRU capacities.
-const (
-	DefaultMemResults  = 4096
-	DefaultMemMachines = 8
-)
+// resultEntries bounds the in-memory result LRU (entries across all
+// shards; results are ~1 KB each).
+const resultEntries = 4096
 
 // Stats counts what the scheduler did. Executed counts completed
 // simulations; Errors counts submissions whose execution failed (error
@@ -50,11 +40,12 @@ type Stats struct {
 }
 
 // Scheduler is the unified submission point for simulations: every
-// consumer asks it to Simulate (or for a Machine), and identical points
-// — equal canonical digests — execute exactly once. Concurrent
-// submissions of the same point coalesce onto one execution; completed
-// results live in a sharded in-memory LRU and, when configured, the
-// on-disk store.
+// consumer asks it to Simulate, and identical points — equal canonical
+// digests — execute exactly once. Concurrent submissions of the same
+// point coalesce onto one execution; completed results live in a
+// sharded in-memory LRU and, when configured, the on-disk store. The
+// scheduler keeps results only: the machine that executed a point, and
+// with it the point's graph, is garbage once the result is stored.
 //
 // Cached results are shared: callers must treat a *core.Result obtained
 // from the scheduler as read-only (the experiment race tests run under
@@ -63,10 +54,9 @@ type Stats struct {
 // A nil *Scheduler is valid and simply executes every submission — so
 // call sites can thread an optional scheduler without nil checks.
 type Scheduler struct {
-	off      bool
-	disk     *store
-	results  *lruShards
-	machines *lruShards
+	off     bool
+	disk    *store
+	results *lruShards
 
 	// run resolves one missed digest (disk, then execution). It is
 	// runPoint in production; tests substitute a gated executor to
@@ -88,8 +78,7 @@ type flight struct {
 // New builds a scheduler.
 func New(c Config) *Scheduler {
 	s := &Scheduler{
-		results:  newLRUShards(c.MemResults, DefaultMemResults),
-		machines: newLRUShards(c.MemMachines, DefaultMemMachines),
+		results:  newLRUShards(resultEntries),
 		inflight: make(map[Digest]*flight),
 	}
 	if c.Dir != "" {
@@ -100,8 +89,10 @@ func New(c Config) *Scheduler {
 }
 
 // Off returns a scheduler that executes every submission and caches
-// nothing — the -no-cache escape hatch, distinguishable from nil (which
-// call sites use for "default").
+// nothing — the -no-cache escape hatch. Unlike nil, which also executes
+// every submission, it counts each one as bypassed in Stats, and it
+// survives configs that read nil as "build a default scheduler"
+// (serve.Config.Sched, jobs.ExecOptions.Cache).
 func Off() *Scheduler { return &Scheduler{off: true} }
 
 // Stats returns a snapshot of the scheduler's counters.
@@ -120,9 +111,9 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Metric names the scheduler emits through the process-global
-// Recorder, so expvar and /metrics show cache behavior without code
-// changes in consumers. Counters mirror Stats ("cache.misses" counts
-// executions); the two histograms are log-bucketed latencies.
+// Recorder, so /metrics shows cache behavior without code changes in
+// consumers. Counters mirror Stats ("cache.misses" counts executions);
+// the two histograms are log-bucketed latencies.
 const (
 	MetricHits      = "cache.hits"
 	MetricMisses    = "cache.misses"
@@ -146,10 +137,9 @@ func RegisterMetrics(rec obs.Recorder) {
 	}
 }
 
-// Simulate submits one point. On a miss the point executes through a
-// shared Machine (grid built once even if a Machine consumer also holds
-// the point) and the result is stored; on a hit the cached result —
-// byte-identical to a fresh execution by the cache-hit-identity
+// Simulate submits one point. On a miss the point executes on a freshly
+// assembled Machine and the result is stored; on a hit the cached
+// result — byte-identical to a fresh execution by the cache-hit-identity
 // invariant — returns without simulating.
 func (s *Scheduler) Simulate(cfg core.Config, w core.Workload) (*core.Result, error) {
 	return s.SimulateCtx(context.Background(), cfg, w)
@@ -259,7 +249,7 @@ func (s *Scheduler) runPoint(ctx context.Context, d Digest, cfg core.Config, w c
 	// the caller's experiment span when one rides in ctx.
 	_, sp := obs.StartSpanWithID(ctx, "point "+d.String(), spanIDFor(d),
 		"digest", d.String(), "config", cfg.Name, "dataset", w.DatasetName)
-	m, err := s.machineFor(d, cfg, w)
+	m, err := core.NewMachine(cfg, w)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.End()
@@ -294,39 +284,6 @@ func spanIDFor(d Digest) uint64 {
 	return binary.BigEndian.Uint64(d[:8])
 }
 
-// Machine returns the assembled simulator for a point, shared by digest:
-// consumers that need the grid or the functional run (the conformance
-// harness, experiments that cross-check) get the same machine for the
-// same point, generalizing core.Machine's per-instance memoization to
-// the whole process. The machine's own memoized getters make concurrent
-// use safe.
-func (s *Scheduler) Machine(cfg core.Config, w core.Workload) (*core.Machine, error) {
-	if s == nil || s.off || cfg.Recorder != nil {
-		return core.NewMachine(cfg, w)
-	}
-	d, err := PointDigest(cfg, w)
-	if err != nil {
-		return core.NewMachine(cfg, w)
-	}
-	return s.machineFor(d, cfg, w)
-}
-
-// machineFor resolves the shared machine for a digest, building at most
-// one even under concurrent callers (LoadOrStore-style: losers discard).
-func (s *Scheduler) machineFor(d Digest, cfg core.Config, w core.Workload) (*core.Machine, error) {
-	if m, ok := s.machines.get(d); ok {
-		return m.(*core.Machine), nil
-	}
-	m, err := core.NewMachine(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if prev, ok := s.machines.getOrPut(d, m); ok {
-		return prev.(*core.Machine), nil
-	}
-	return m, nil
-}
-
 // --- sharded LRU --------------------------------------------------------
 
 const numShards = 16
@@ -350,15 +307,9 @@ type lruEntry struct {
 	val any
 }
 
-func newLRUShards(capacity, fallback int) *lruShards {
-	if capacity <= 0 {
-		capacity = fallback
-	}
-	per := (capacity + numShards - 1) / numShards
-	if per < 1 {
-		per = 1
-	}
-	s := &lruShards{cap: per}
+// newLRUShards splits capacity evenly across the shards, rounding up.
+func newLRUShards(capacity int) *lruShards {
+	s := &lruShards{cap: (capacity + numShards - 1) / numShards}
 	for i := range s.shards {
 		s.shards[i].m = make(map[Digest]*list.Element)
 	}
@@ -378,38 +329,18 @@ func (s *lruShards) get(d Digest) (any, bool) {
 	return nil, false
 }
 
+// put adds (d, v), evicting from the back past the shard capacity.
 func (s *lruShards) put(d Digest, v any) {
 	sh := s.shard(d)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.insert(s.cap, d, v)
-}
-
-// getOrPut returns the existing value for d (true) or inserts v (false),
-// atomically per shard — the machine path uses it so concurrent builders
-// converge on one instance.
-func (s *lruShards) getOrPut(d Digest, v any) (any, bool) {
-	sh := s.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[d]; ok {
-		sh.ll.MoveToFront(el)
-		return el.Value.(*lruEntry).val, true
-	}
-	sh.insert(s.cap, d, v)
-	return v, false
-}
-
-// insert adds (d, v), evicting from the back past the capacity. Callers
-// hold the shard lock.
-func (sh *lruShard) insert(capacity int, d Digest, v any) {
 	if el, ok := sh.m[d]; ok {
 		el.Value.(*lruEntry).val = v
 		sh.ll.MoveToFront(el)
 		return
 	}
 	sh.m[d] = sh.ll.PushFront(&lruEntry{key: d, val: v})
-	for sh.ll.Len() > capacity {
+	for sh.ll.Len() > s.cap {
 		back := sh.ll.Back()
 		sh.ll.Remove(back)
 		delete(sh.m, back.Value.(*lruEntry).key)

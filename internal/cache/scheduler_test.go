@@ -125,36 +125,11 @@ func TestSchedulerNeverCachesErrors(t *testing.T) {
 	}
 }
 
-func TestSchedulerSharesMachines(t *testing.T) {
-	cfg, w := testPoint(t)
-	s := New(Config{})
-	m1, err := s.Machine(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := s.Machine(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
-		t.Error("same point resolved to two machines")
-	}
-	other := cfg
-	other.NumPUs *= 2
-	m3, err := s.Machine(other, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3 == m1 {
-		t.Error("different points share a machine")
-	}
-}
-
 func TestLRUEvicts(t *testing.T) {
 	// Capacity 16 spreads to one entry per shard, so two digests in one
 	// shard evict each other; digests differing only past byte 0 stay in
 	// the same shard.
-	s := newLRUShards(16, DefaultMemResults)
+	s := newLRUShards(16)
 	var a, b Digest
 	a[1], b[1] = 1, 2
 	s.put(a, "a")
@@ -171,7 +146,7 @@ func TestLRUEvicts(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
-	s := newLRUShards(32, DefaultMemResults) // two per shard
+	s := newLRUShards(32) // two per shard
 	var a, b, c Digest
 	a[1], b[1], c[1] = 1, 2, 3
 	s.put(a, "a")

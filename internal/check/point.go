@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/algo"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -29,11 +28,6 @@ type Point struct {
 	Prog      algo.Program
 	Cfg       core.Config
 	Workload  core.Workload
-	// Sched, when non-nil, is the cache scheduler the point's machine
-	// is resolved through, so a sweep shares machines and results with
-	// every other consumer of the same scheduler. Nil assembles a
-	// private machine (the -no-cache behavior).
-	Sched *cache.Scheduler
 
 	machine    *core.Machine
 	machineErr error
@@ -43,16 +37,10 @@ type Point struct {
 
 // Machine memoizes the assembled simulator of the point: the grid is
 // partitioned once and shared by the cost run and the blocked
-// functional run (which previously each rebuilt it). With a scheduler
-// attached, the machine additionally comes from the process-wide cache,
-// generalizing that per-point memoization across the sweep.
+// functional run (which previously each rebuilt it).
 func (p *Point) Machine() (*core.Machine, error) {
 	if p.machine == nil && p.machineErr == nil {
-		if p.Sched != nil {
-			p.machine, p.machineErr = p.Sched.Machine(p.Cfg, p.Workload)
-		} else {
-			p.machine, p.machineErr = core.NewMachine(p.Cfg, p.Workload)
-		}
+		p.machine, p.machineErr = core.NewMachine(p.Cfg, p.Workload)
 	}
 	return p.machine, p.machineErr
 }

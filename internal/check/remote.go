@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"repro/internal/cache"
 )
 
 // PointDocSchema identifies the canonical conformance-point document —
@@ -45,13 +43,13 @@ type PointDocFailure struct {
 
 // RunPointDoc runs seed's conformance point (under timeout, exactly as
 // Run would) and encodes the outcome as a canonical PointDoc.
-func RunPointDoc(seed uint64, timeout time.Duration, sched *cache.Scheduler) ([]byte, error) {
+func RunPointDoc(seed uint64, timeout time.Duration) ([]byte, error) {
 	invs := Invariants()
 	doc := PointDoc{Schema: PointDocSchema, Seed: seed, Runs: make([]int, len(invs))}
 	for _, inv := range invs {
 		doc.Invariants = append(doc.Invariants, inv.Name)
 	}
-	res, err := runPointWithTimeout(seed, invs, timeout, sched)
+	res, err := runPointWithTimeout(seed, invs, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 )
 
@@ -29,12 +28,6 @@ type Options struct {
 	// on its own — and the sweep moves on, so one pathological seed
 	// cannot wedge a CI sweep forever. 0 means no limit.
 	PointTimeout time.Duration
-	// Cache is the scheduler points resolve their machines through, so a
-	// sweep shares assembled grids and results with any other consumer of
-	// the same scheduler. Nil builds a private in-memory scheduler for
-	// the sweep; cache.Off() disables sharing entirely (the -no-cache
-	// escape hatch).
-	Cache *cache.Scheduler
 }
 
 // DefaultPoints is the sweep size when neither budget is set.
@@ -102,10 +95,6 @@ func Run(opt Options) (*Summary, error) {
 	if points <= 0 && opt.Duration <= 0 {
 		points = DefaultPoints
 	}
-	sched := opt.Cache
-	if sched == nil {
-		sched = cache.New(cache.Config{})
-	}
 	deadline := time.Time{}
 	if opt.Duration > 0 {
 		deadline = time.Now().Add(opt.Duration)
@@ -119,7 +108,7 @@ func Run(opt Options) (*Summary, error) {
 			break
 		}
 		seed := opt.Seed + uint64(i)
-		res, err := runPointWithTimeout(seed, invs, opt.PointTimeout, sched)
+		res, err := runPointWithTimeout(seed, invs, opt.PointTimeout)
 		if err != nil {
 			return sum, err
 		}
@@ -167,14 +156,13 @@ type indexedFailure struct {
 // ("check.invariant.seconds"|invariant=<name>), so a sweep's slowest
 // invariants are visible on /metrics, and point lifecycle events land in
 // the flight recorder for the timeout dump.
-func runPoint(seed uint64, invs []Invariant, sched *cache.Scheduler) (*pointResult, error) {
+func runPoint(seed uint64, invs []Invariant) (*pointResult, error) {
 	rec := obs.Default()
 	obs.Flight().Record("check.point.start", strconv.FormatUint(seed, 10))
 	p, err := NewPoint(seed)
 	if err != nil {
 		return nil, fmt.Errorf("check: building point for seed %d: %w", seed, err)
 	}
-	p.Sched = sched
 	res := &pointResult{point: p.String(), runs: make([]int, len(invs))}
 	for j := range invs {
 		inv := &invs[j]
@@ -204,9 +192,9 @@ func runPoint(seed uint64, invs []Invariant, sched *cache.Scheduler) (*pointResu
 // running (a wedged simulation cannot be cancelled from outside; the
 // leak is bounded by one goroutine per timed-out point) and delivers
 // its eventual result into a buffered channel nobody reads.
-func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration, sched *cache.Scheduler) (*pointResult, error) {
+func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration) (*pointResult, error) {
 	if limit <= 0 {
-		return runPoint(seed, invs, sched)
+		return runPoint(seed, invs)
 	}
 	type outcome struct {
 		res *pointResult
@@ -214,7 +202,7 @@ func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration, sch
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		r, err := runPoint(seed, invs, sched)
+		r, err := runPoint(seed, invs)
 		ch <- outcome{r, err}
 	}()
 	timer := time.NewTimer(limit)

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/cluster"
 )
@@ -32,16 +31,11 @@ func RunCheckCluster(opt check.Options, workers int) (*check.Summary, error) {
 	if out == nil {
 		out = io.Discard
 	}
-	sched := opt.Cache
-	if sched == nil {
-		sched = cache.New(cache.Config{})
-	}
 	spec, err := NewCheckSpec(opt.Seed, opt.Points, opt.PointTimeout)
 	if err != nil {
 		return nil, err
 	}
-	execOpt := ExecOptions{Cache: sched}
-	job, err := Decode(spec, execOpt)
+	job, err := Decode(spec, ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +62,7 @@ func RunCheckCluster(opt check.Options, workers int) (*check.Summary, error) {
 			defer wg.Done()
 			cluster.RunWorker(ctx, wSide, cluster.WorkerConfig{
 				Name:    fmt.Sprintf("inproc%d", i),
-				Factory: Factory(execOpt),
+				Factory: Factory(ExecOptions{}),
 			})
 		}(w)
 	}

@@ -42,8 +42,8 @@ type CheckSpec struct {
 // ExecOptions carries the local execution environment a spec does not
 // describe. Prepared datasets are the process's graph.SetPreparedDir.
 type ExecOptions struct {
-	// Cache is the scheduler points resolve through (nil = a private
-	// in-memory scheduler per job).
+	// Cache is the scheduler sim points are submitted through (nil = a
+	// private in-memory scheduler per job). Check points run without one.
 	Cache *cache.Scheduler
 }
 
@@ -87,10 +87,6 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("jobs: decoding spec: %w", err)
 	}
-	sched := opt.Cache
-	if sched == nil {
-		sched = cache.New(cache.Config{})
-	}
 	switch s.Kind {
 	case "sim":
 		if s.Sim == nil {
@@ -98,6 +94,10 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		}
 		if _, err := s.Sim.Specs(); err != nil {
 			return nil, fmt.Errorf("jobs: %w", err)
+		}
+		sched := opt.Cache
+		if sched == nil {
+			sched = cache.New(cache.Config{})
 		}
 		return &simJob{sweep: *s.Sim, sched: sched}, nil
 	case "check":
@@ -107,7 +107,7 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		if s.Check.Points <= 0 {
 			return nil, errors.New("jobs: check spec names no points")
 		}
-		return &checkJob{spec: *s.Check, sched: sched}, nil
+		return &checkJob{spec: *s.Check}, nil
 	default:
 		return nil, fmt.Errorf("jobs: unknown spec kind %q", s.Kind)
 	}
@@ -150,8 +150,7 @@ func (j *simJob) Validate(i int, payload []byte) error {
 // checkJob executes conformance points and returns canonical
 // hyve/checkpoint/v1 documents.
 type checkJob struct {
-	spec  CheckSpec
-	sched *cache.Scheduler
+	spec CheckSpec
 }
 
 // Points implements cluster.Job.
@@ -166,7 +165,7 @@ func (j *checkJob) Execute(ctx context.Context, i int) ([]byte, error) {
 		return nil, err
 	}
 	return check.RunPointDoc(j.spec.Seed+uint64(i),
-		time.Duration(j.spec.PointTimeoutMS)*time.Millisecond, j.sched)
+		time.Duration(j.spec.PointTimeoutMS)*time.Millisecond)
 }
 
 // Validate implements cluster.Job: the payload must decode as a point

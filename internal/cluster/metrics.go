@@ -9,10 +9,10 @@ import "repro/internal/obs"
 // many grants each completed shard needed (1 = first worker finished
 // it; more = the fault machinery earned its keep).
 const (
-	MetricLeasesGranted   = "cluster.leases.granted"
-	MetricLeasesReclaimed = "cluster.leases.reclaimed"
-	MetricLeasesExpired   = "cluster.leases.expired"
-	MetricLeasesCompleted = "cluster.leases.completed"
+	MetricLeasesGranted    = "cluster.leases.granted"
+	MetricLeasesReclaimed  = "cluster.leases.reclaimed"
+	MetricLeasesExpired    = "cluster.leases.expired"
+	MetricLeasesCompleted  = "cluster.leases.completed"
 	MetricShardsReassigned = "cluster.shards.reassigned"
 	MetricShardsPoisoned   = "cluster.shards.poisoned"
 	MetricResultsMerged    = "cluster.results.merged"
@@ -21,10 +21,10 @@ const (
 	MetricWorkersJoined    = "cluster.workers.joined"
 	MetricWorkersLost      = "cluster.workers.lost"
 	MetricFramesBad        = "cluster.frames.bad"
-	MetricWorkersLive   = "cluster.workers.live"   // gauge
-	MetricShardsKnown   = "cluster.shards"         // gauge (not *.total: a gauge family must not look like a counter)
-	MetricShardsLeased  = "cluster.shards.leased"  // gauge
-	MetricShardAttempts = "cluster.shard.attempts" // histogram
+	MetricWorkersLive      = "cluster.workers.live"   // gauge
+	MetricShardsKnown      = "cluster.shards"         // gauge (not *.total: a gauge family must not look like a counter)
+	MetricShardsLeased     = "cluster.shards.leased"  // gauge
+	MetricShardAttempts    = "cluster.shard.attempts" // histogram
 	// MetricWorkerPoints is labeled per worker ("cluster.worker.points"
 	// |worker=<name>): merged points attributed to the worker that
 	// computed them, the per-worker points/s source in hyve-top.

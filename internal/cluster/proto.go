@@ -20,7 +20,8 @@ import (
 //	12     4   CRC-32C over bytes [4, 12) plus the payload
 //	16     …   payload
 //
-// Decoding is strict in the same spirit as graph.ReadBinary: a wrong
+// Decoding is strict in the same spirit as the graph v2 container
+// validator (graph.ReadV2's header and section-table checks): a wrong
 // magic, unknown version or type, nonzero flags, oversized length, or
 // CRC mismatch is an error, never a guess — the coordinator drops the
 // connection (reclaiming its leases) rather than acting on a frame it

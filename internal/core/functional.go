@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/algo"
@@ -145,10 +146,17 @@ type Machine struct {
 	simRun  bool
 }
 
-// NewMachine validates the point and assembles the simulator once.
+// NewMachine validates the point — the configuration, then a non-empty
+// graph and a program — and assembles the simulator once.
 func NewMachine(cfg Config, w Workload) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if w.Graph == nil || w.Graph.NumVertices == 0 {
+		return nil, graph.ErrEmptyGraph
+	}
+	if w.Program == nil {
+		return nil, fmt.Errorf("core: workload has no program")
 	}
 	s, err := newSim(cfg, w)
 	if err != nil {

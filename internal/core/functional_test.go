@@ -152,3 +152,33 @@ func TestMachineSharesGrid(t *testing.T) {
 	}
 	var _ *partition.Grid = pg
 }
+
+// TestEntryPointsRejectBadWorkloads: every entry point that assembles a
+// machine returns an error, never a panic, for a workload without a
+// program or without a non-empty graph.
+func TestEntryPointsRejectBadWorkloads(t *testing.T) {
+	g, err := graph.GenerateChain(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]Workload{
+		"nil program": {DatasetName: "chain", Graph: g},
+		"nil graph":   {DatasetName: "chain", Program: algo.NewPageRank()},
+		"empty graph": {DatasetName: "chain", Graph: &graph.Graph{}, Program: algo.NewPageRank()},
+	}
+	entries := map[string]func(Config, Workload) error{
+		"Simulate":      func(c Config, w Workload) error { _, err := Simulate(c, w); return err },
+		"NewMachine":    func(c Config, w Workload) error { _, err := NewMachine(c, w); return err },
+		"RunFunctional": func(c Config, w Workload) error { _, err := RunFunctional(c, w); return err },
+		"Grid":          func(c Config, w Workload) error { _, _, err := Grid(c, w); return err },
+	}
+	for wname, w := range workloads {
+		for ename, entry := range entries {
+			t.Run(wname+"/"+ename, func(t *testing.T) {
+				if err := entry(HyVEOpt(), w); err == nil {
+					t.Error("accepted")
+				}
+			})
+		}
+	}
+}

@@ -156,21 +156,11 @@ func gridRowHitRate(kind MemKind) float64 {
 // synchronized and coalesce concurrent runs). The parallel experiment
 // harness and internal/experiments/race_test.go depend on this.
 func Simulate(cfg Config, w Workload) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if w.Graph == nil || w.Graph.NumVertices == 0 {
-		return nil, graph.ErrEmptyGraph
-	}
-	if w.Program == nil {
-		return nil, fmt.Errorf("core: workload has no program")
-	}
-
-	s, err := newSim(cfg, w)
+	m, err := NewMachine(cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	return m.SimulateTraced(nil)
 }
 
 // machine holds the assembled simulator for one run.

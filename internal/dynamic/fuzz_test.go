@@ -23,11 +23,11 @@ func fuzzGraph(t testing.TB) *graph.Graph {
 // forever once every live edge was consumed.
 func FuzzGenerateRequests(f *testing.F) {
 	f.Add(45, 45, 5, 5, 100, uint64(1))
-	f.Add(0, 100, 0, 0, 200, uint64(2))  // delete-only: must error, not hang
-	f.Add(1, 99, 0, 0, 5000, uint64(3))  // delete-heavy with a trickle of adds
-	f.Add(0, 99, 1, 0, 1000, uint64(4))  // fallback lands on add-vertex
-	f.Add(0, 99, 0, 1, 1000, uint64(5))  // fallback lands on delete-vertex
-	f.Add(100, 0, 0, 0, 0, uint64(6))    // empty stream
+	f.Add(0, 100, 0, 0, 200, uint64(2)) // delete-only: must error, not hang
+	f.Add(1, 99, 0, 0, 5000, uint64(3)) // delete-heavy with a trickle of adds
+	f.Add(0, 99, 1, 0, 1000, uint64(4)) // fallback lands on add-vertex
+	f.Add(0, 99, 0, 1, 1000, uint64(5)) // fallback lands on delete-vertex
+	f.Add(100, 0, 0, 0, 0, uint64(6))   // empty stream
 	f.Add(25, 25, 25, 25, 300, uint64(7))
 	f.Fuzz(func(t *testing.T, add, del, av, dv, n int, seed uint64) {
 		mix := Mix{AddEdgePct: add, DeleteEdgePct: del, AddVertexPct: av, DeleteVertexPct: dv}
@@ -73,8 +73,8 @@ func FuzzApply(f *testing.F) {
 	f.Add(int8(0), uint32(1), uint32(2), uint32(0))
 	f.Add(int8(1), uint32(500), uint32(500), uint32(0)) // delete absent edge
 	f.Add(int8(2), uint32(0), uint32(0), uint32(0))
-	f.Add(int8(3), uint32(0), uint32(0), uint32(99))    // delete absent vertex
-	f.Add(int8(9), uint32(0), uint32(0), uint32(0))     // unknown kind
+	f.Add(int8(3), uint32(0), uint32(0), uint32(99)) // delete absent vertex
+	f.Add(int8(9), uint32(0), uint32(0), uint32(0))  // unknown kind
 	f.Fuzz(func(t *testing.T, kind int8, src, dst, vtx uint32) {
 		g := fuzzGraph(t)
 		asg, err := partition.NewHashed(g.NumVertices, 4)

@@ -45,9 +45,9 @@ type Options struct {
 	// Cache is the scheduler every simulation point is submitted
 	// through, so identical points across experiments (and, with a
 	// disk-backed scheduler, across runs) execute exactly once. Nil
-	// uses a process-wide in-memory default; cache.Off() disables
-	// reuse entirely. Results a runner receives may be shared with
-	// other runners and must be treated as read-only.
+	// executes every point, as cache.Off() does. Results a runner
+	// receives may be shared with other runners and must be treated as
+	// read-only.
 	Cache *cache.Scheduler
 	// Ctx, when non-nil, carries the driver's span context: simulation
 	// points submitted through the run inherit it, so point spans nest
@@ -55,20 +55,6 @@ type Options struct {
 	// (see obs.StartSpan). It does not cancel anything — executions run
 	// to completion — and is deliberately excluded from OptionsDigest.
 	Ctx context.Context
-}
-
-// defaultCache is the process-wide scheduler used when a driver does not
-// supply one: in-memory only, so every run still dedups identical points
-// across its experiments (the HyVE baseline of one dataset is simulated
-// once for Figs. 14/15/17/18, not four times).
-var defaultCache = cache.New(cache.Config{})
-
-// cacheFor resolves the run's scheduler.
-func (o Options) cacheFor() *cache.Scheduler {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return defaultCache
 }
 
 // simulate submits one simulation point through the run's scheduler —
@@ -80,7 +66,7 @@ func (o Options) simulate(cfg core.Config, wl core.Workload) (*core.Result, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return o.cacheFor().SimulateCtx(ctx, cfg, wl)
+	return o.Cache.SimulateCtx(ctx, cfg, wl)
 }
 
 // NewRunArtifact builds the artifact shell for one experiment run,

@@ -26,7 +26,7 @@ func TestArtifactsByteIdenticalUnderFullObservation(t *testing.T) {
 		opt := Options{Quick: true, Cache: cache.New(cache.Config{})}
 		if observed {
 			reg := obs.NewRegistry()
-			obs.SetDefault(obs.Multi(obs.Expvar(), reg))
+			obs.SetDefault(reg)
 			obs.EnableTracing(0)
 			cache.RegisterMetrics(reg)
 			defer obs.SetDefault(nil)

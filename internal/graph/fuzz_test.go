@@ -2,31 +2,9 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"strings"
 	"testing"
 )
-
-// binHeader forges a binary-format header for fuzz seeds and crasher
-// regression tests.
-func binHeader(magic, version, flags uint32, nVerts, nEdges uint64) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, magic)
-	binary.Write(&buf, binary.LittleEndian, version)
-	binary.Write(&buf, binary.LittleEndian, flags)
-	binary.Write(&buf, binary.LittleEndian, nVerts)
-	binary.Write(&buf, binary.LittleEndian, nEdges)
-	return buf.Bytes()
-}
-
-func validBinary(t *testing.T, g *Graph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 func FuzzParseEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
@@ -48,95 +26,14 @@ func FuzzParseEdgeList(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v\ninput: %q", err, text)
 		}
-		// And must round-trip through the binary format unchanged.
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Fatalf("accepted graph does not serialize: %v", err)
-		}
-		back, err := ReadBinary(&buf)
+		// And must round-trip through the v2 container unchanged.
+		data := validV2(t, g, V2Options{})
+		c, err := ReadV2(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("serialized graph does not parse: %v", err)
 		}
-		if back.NumVertices != g.NumVertices || len(back.Edges) != len(g.Edges) {
-			t.Fatalf("round-trip changed shape: %d/%d vertices, %d/%d edges",
-				back.NumVertices, g.NumVertices, len(back.Edges), len(g.Edges))
-		}
+		graphsEqual(t, c.Graph(), g)
 	})
-}
-
-func FuzzReadBinary(f *testing.F) {
-	chain, err := GenerateChain(16)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, chain); err != nil {
-		f.Fatal(err)
-	}
-	full := buf.Bytes()
-	f.Add(full)
-	f.Add(full[:len(full)-3])                       // truncated mid-edge
-	f.Add(full[:12])                                // header only, no counts
-	f.Add([]byte{})                                 // empty
-	f.Add(binHeader(0x45567948, 1, 0, 10, 1<<60))   // overflowing edge count
-	f.Add(binHeader(0x45567948, 1, 0, 1<<40, 4))    // overflowing vertex count
-	f.Add(binHeader(0x45567948, 1, 1, 4, 2))        // weighted flag, no payload
-	f.Add(binHeader(0x45567948, 1, 0xFFFE, 4, 2))   // unknown flags
-	f.Add(binHeader(0x45567948, 9, 0, 4, 2))        // bad version
-	f.Add(append(binHeader(0x45567948, 1, 1, 2, 1), // NaN weight payload
-		0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0xC0, 0x7F))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
-		}
-		if g.Weighted() {
-			for i, w := range g.Weights {
-				if w != w {
-					t.Fatalf("accepted graph carries NaN weight at %d", i)
-				}
-			}
-		}
-	})
-}
-
-// TestReadBinaryCrashers pins the classes of hostile input the fuzzer
-// originally flushed out: each must fail cleanly (no panic, no
-// unbounded allocation) with a diagnostic naming the problem.
-func TestReadBinaryCrashers(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"empty", nil, "header"},
-		{"truncated header", binHeader(0x45567948, 1, 0, 4, 2)[:20], "header"},
-		{"bad magic", binHeader(0xDEADBEEF, 1, 0, 4, 2), "magic"},
-		{"bad version", binHeader(0x45567948, 2, 0, 4, 2), "version"},
-		{"unknown flags", binHeader(0x45567948, 1, 0x80, 4, 2), "flag"},
-		{"forged edge count", binHeader(0x45567948, 1, 0, 4, 1<<35), "implausible"},
-		{"forged vertex count", binHeader(0x45567948, 1, 0, 1<<35, 4), "implausible"},
-		// 1<<33 edges pass the plausibility check; the chunked reader must
-		// then fail at EOF without first allocating the claimed 64 GiB.
-		{"plausible-but-absent edges", binHeader(0x45567948, 1, 0, 4, 1<<33), "EOF"},
-		{"missing payload", binHeader(0x45567948, 1, 0, 4, 2), "edges"},
-		{"nan weight", append(binHeader(0x45567948, 1, 1, 2, 1),
-			0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0xC0, 0x7F), "non-finite"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadBinary(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatal("hostile input accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
 }
 
 // TestValidateMaxVertexID pins a fuzzer-found bug: an edge touching
@@ -159,28 +56,6 @@ func TestParseEdgeListRejectsNonFinite(t *testing.T) {
 	for _, w := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "1e39"} {
 		if _, err := ParseEdgeList(strings.NewReader("0 1 " + w + "\n")); err == nil {
 			t.Errorf("weight %q accepted", w)
-		}
-	}
-}
-
-func TestReadBinaryRoundTripChunkBoundary(t *testing.T) {
-	// Edge counts straddling the 1<<16 chunk size exercise the chunked
-	// reader's partial-final-chunk path.
-	for _, ne := range []int{1<<16 - 1, 1 << 16, 1<<16 + 1} {
-		g, err := GenerateUniform(256, ne, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		AttachUniformWeights(g, 8, 13)
-		back, err := ReadBinary(bytes.NewReader(validBinary(t, g)))
-		if err != nil {
-			t.Fatalf("ne=%d: %v", ne, err)
-		}
-		if len(back.Edges) != len(g.Edges) || len(back.Weights) != len(g.Weights) {
-			t.Fatalf("ne=%d: round-trip changed shape", ne)
-		}
-		if back.Edges[ne-1] != g.Edges[ne-1] || back.Weights[ne-1] != g.Weights[ne-1] {
-			t.Fatalf("ne=%d: last edge corrupted across chunk boundary", ne)
 		}
 	}
 }

@@ -2,122 +2,12 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 )
-
-// Binary format: a fixed header followed by the edge array and, when the
-// weighted flag is set, the weight array. All integers little-endian.
-//
-//	magic   uint32  'H','y','V','E'
-//	version uint32  1
-//	flags   uint32  bit0 = weighted
-//	nVerts  uint64
-//	nEdges  uint64
-//	edges   nEdges × {src uint32, dst uint32}
-//	weights nEdges × float32 (iff weighted)
-const (
-	binaryMagic   = 0x45567948 // "HyVE" little-endian
-	binaryVersion = 1
-	flagWeighted  = 1 << 0
-)
-
-// WriteBinary serializes g in the repository's binary graph format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	var flags uint32
-	if g.Weights != nil {
-		flags |= flagWeighted
-	}
-	hdr := []any{
-		uint32(binaryMagic), uint32(binaryVersion), flags,
-		uint64(g.NumVertices), uint64(len(g.Edges)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("graph: writing header: %w", err)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Edges); err != nil {
-		return fmt.Errorf("graph: writing edges: %w", err)
-	}
-	if g.Weights != nil {
-		if err := binary.Write(bw, binary.LittleEndian, g.Weights); err != nil {
-			return fmt.Errorf("graph: writing weights: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic, version, flags uint32
-	var nVerts, nEdges uint64
-	for _, p := range []any{&magic, &version, &flags} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	for _, p := range []any{&nVerts, &nEdges} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
-	}
-	if flags&^uint32(flagWeighted) != 0 {
-		return nil, fmt.Errorf("graph: unknown flag bits %#x", flags&^uint32(flagWeighted))
-	}
-	const maxReasonable = 1 << 34
-	if nVerts > maxReasonable || nEdges > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible sizes |V|=%d |E|=%d", nVerts, nEdges)
-	}
-	// Read edges (and weights) in bounded chunks so a forged nEdges in the
-	// header can never allocate gigabytes up front: allocation grows only
-	// as fast as the stream actually delivers data.
-	const chunkEdges = 1 << 16
-	g := &Graph{NumVertices: int(nVerts)}
-	g.Edges = make([]Edge, 0, min(nEdges, chunkEdges))
-	chunk := make([]Edge, chunkEdges)
-	for read := uint64(0); read < nEdges; {
-		n := min(nEdges-read, chunkEdges)
-		if err := binary.Read(br, binary.LittleEndian, chunk[:n]); err != nil {
-			return nil, fmt.Errorf("graph: reading edges (%d of %d): %w", read, nEdges, err)
-		}
-		g.Edges = append(g.Edges, chunk[:n]...)
-		read += n
-	}
-	if flags&flagWeighted != 0 {
-		g.Weights = make([]float32, 0, min(nEdges, chunkEdges))
-		wchunk := make([]float32, chunkEdges)
-		for read := uint64(0); read < nEdges; {
-			n := min(nEdges-read, chunkEdges)
-			if err := binary.Read(br, binary.LittleEndian, wchunk[:n]); err != nil {
-				return nil, fmt.Errorf("graph: reading weights (%d of %d): %w", read, nEdges, err)
-			}
-			g.Weights = append(g.Weights, wchunk[:n]...)
-			read += n
-		}
-		for i, w := range g.Weights {
-			if f := float64(w); math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("graph: weight %d is non-finite (%v)", i, w)
-			}
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
 
 // ParseEdgeList reads a SNAP-style whitespace-separated text edge list
 // ("src dst" or "src dst weight" per line; '#' starts a comment). The

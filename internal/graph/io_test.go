@@ -6,78 +6,6 @@ import (
 	"testing"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g, err := GenerateRMAT(300, 1500, DefaultRMAT, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumVertices != g.NumVertices || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("sizes changed: %d/%d vs %d/%d", got.NumVertices, got.NumEdges(), g.NumVertices, g.NumEdges())
-	}
-	for i := range g.Edges {
-		if got.Edges[i] != g.Edges[i] {
-			t.Fatalf("edge %d changed", i)
-		}
-	}
-	if got.Weights != nil {
-		t.Error("unweighted graph came back weighted")
-	}
-}
-
-func TestBinaryRoundTripWeighted(t *testing.T) {
-	g, err := GenerateUniform(50, 200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	AttachUniformWeights(g, 3, 8)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Weights == nil {
-		t.Fatal("weights lost")
-	}
-	for i := range g.Weights {
-		if got.Weights[i] != g.Weights[i] {
-			t.Fatalf("weight %d changed", i)
-		}
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all........."))); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestReadBinaryRejectsBadVersion(t *testing.T) {
-	g := &Graph{NumVertices: 1, Edges: []Edge{{0, 0}}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[4] = 99 // version field
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-		t.Error("bad version accepted")
-	}
-}
-
 func TestParseEdgeList(t *testing.T) {
 	in := `# comment
 0 1

@@ -43,6 +43,9 @@ func testGraphs(t *testing.T) map[string]*Graph {
 		"weighted": weighted,
 		"chain":    chain,
 		"self":     single,
+		// Its empty edge section must not count as overlapping the
+		// section table that follows it.
+		"edgeless": {NumVertices: 256},
 	}
 }
 

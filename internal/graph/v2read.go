@@ -90,9 +90,9 @@ func (c *Container) Close() error {
 	return u()
 }
 
-// v2MaxReasonable caps header-declared element counts, like ReadBinary's
-// guard: a forged header can never make a reader attempt a gigantic
-// allocation that the file cannot back.
+// v2MaxReasonable caps header-declared element counts: a forged header
+// can never make a reader attempt a gigantic allocation that the file
+// cannot back.
 const v2MaxReasonable = 1 << 34
 
 func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
@@ -161,8 +161,8 @@ func v2ElemSize(kind uint32) uint64 {
 
 // parseV2Table decodes and cross-checks the section table: every
 // section in bounds, page-aligned, element counts consistent with byte
-// sizes, no two sections (or the header/table) overlapping, and the
-// exact section set implied by the header flags present.
+// sizes, no two non-empty sections (or the header/table) overlapping,
+// and the exact section set implied by the header flags present.
 func parseV2Table(tb []byte, h v2Header, fileSize uint64) (map[uint32]v2Section, error) {
 	secs := make(map[uint32]v2Section, h.nSecs)
 	type span struct{ lo, hi uint64 }
@@ -198,7 +198,11 @@ func parseV2Table(tb []byte, h v2Header, fileSize uint64) (map[uint32]v2Section,
 			return nil, fmt.Errorf("graph: v2: section %s declares %d elements in %d bytes", name, s.count, s.size)
 		}
 		secs[s.kind] = s
-		spans = append(spans, span{s.off, s.off + s.size})
+		// An empty section (an edgeless graph's edges) occupies no bytes,
+		// so it cannot overlap anything.
+		if s.size > 0 {
+			spans = append(spans, span{s.off, s.off + s.size})
+		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
 	for i := 1; i < len(spans); i++ {

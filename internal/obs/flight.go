@@ -133,7 +133,7 @@ func DumpFlight(reason string) {
 }
 
 // FlightHandler serves the global ring as JSONL — the /debug/flight
-// endpoint beside /debug/pprof and /debug/vars.
+// endpoint beside /debug/pprof and /metrics.
 func FlightHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")

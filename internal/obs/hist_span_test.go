@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"expvar"
 	"math"
 	"strconv"
 	"strings"
@@ -466,55 +465,5 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Error("unknown level must error")
-	}
-}
-
-func TestMultiRecorderFanOut(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	m := Multi(a, b)
-	m.Count("c", 2)
-	m.Gauge("g", 1.5)
-	m.PhaseTime("p", units.Time(1e12))
-	m.PhaseEnergy("e", units.Energy(1e12))
-	Observe(m, "h.seconds", 0.25)
-	done := m.Timer("t")
-	done()
-	for name, reg := range map[string]*Registry{"a": a, "b": b} {
-		s := reg.Snapshot()
-		if len(s.Counters) != 1 || s.Counters[0].Value != 2 {
-			t.Errorf("%s: counter not fanned out: %+v", name, s.Counters)
-		}
-		if len(s.Gauges) != 1 || len(s.Phases) != 1 || len(s.Energies) != 1 || len(s.Timers) != 1 {
-			t.Errorf("%s: missing fanned-out series: %+v", name, s)
-		}
-		if len(s.Histograms) != 1 || s.Histograms[0].Count != 1 {
-			t.Errorf("%s: histogram not fanned out", name)
-		}
-	}
-}
-
-// TestExpvarGaugeReuse pins the satellite fix: repeated Gauge calls on
-// one name must reuse the same expvar.Float instead of allocating and
-// re-publishing a fresh var per call.
-func TestExpvarGaugeReuse(t *testing.T) {
-	r := Expvar().(*expvarRecorder)
-	r.Gauge("test.reuse.gauge", 1)
-	first, ok := r.m.Get("test.reuse.gauge").(*expvar.Float)
-	if !ok {
-		t.Fatal("gauge not published as *expvar.Float")
-	}
-	r.Gauge("test.reuse.gauge", 2)
-	second := r.m.Get("test.reuse.gauge").(*expvar.Float)
-	if first != second {
-		t.Error("Gauge republished a fresh expvar.Float; must reuse")
-	}
-	if second.Value() != 2 {
-		t.Errorf("gauge value = %v, want 2", second.Value())
-	}
-	if n := testing.AllocsPerRun(100, func() { r.Gauge("test.reuse.gauge", 3) }); n > 0 {
-		t.Errorf("steady-state Gauge allocates %.1f per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { r.PhaseTime("test.reuse.phase", units.Time(1)) }); n > 0 {
-		t.Errorf("steady-state PhaseTime allocates %.1f per call, want 0", n)
 	}
 }

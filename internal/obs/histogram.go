@@ -211,8 +211,8 @@ func (r *Registry) Hist(name string) *Histogram {
 // WithLabel attaches a label to a metric name using the "|k=v"
 // convention: the base name stays a dot-separated path, and renderers
 // that understand labels (the Prometheus exposition) split the suffix
-// into label pairs while flat renderers (expvar) keep the full string
-// as the key. Labels compose: WithLabel(WithLabel(n, a, x), b, y).
+// into label pairs while flat renderers (Registry.Snapshot) keep the
+// full string as the key. Labels compose: WithLabel(WithLabel(n, a, x), b, y).
 func WithLabel(name, key, value string) string {
 	return name + "|" + key + "=" + value
 }

@@ -74,9 +74,9 @@ func OrNop(r Recorder) Recorder {
 }
 
 // defaultRec holds the process-global Recorder. It defaults to Nop and
-// is swapped exactly once per process in practice (hyve-bench installs
-// the expvar recorder at startup); the atomic makes mid-run swaps safe
-// anyway. The holder struct keeps atomic.Value's concrete type constant
+// is swapped exactly once per process in practice (a command serving
+// /metrics installs the Metrics registry at startup); the atomic makes
+// mid-run swaps safe anyway. The holder struct keeps atomic.Value's concrete type constant
 // across differently-typed Recorder implementations.
 type recHolder struct{ r Recorder }
 
@@ -260,64 +260,4 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Timers, func(i, j int) bool { return s.Timers[i].Name < s.Timers[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Multi fans every recording out to each of rs (nil entries skipped).
-// Histogram observations reach the recorders that implement
-// HistogramRecorder. hyve-bench uses it to feed the expvar bridge and
-// the Prometheus registry from one process-global Recorder.
-func Multi(rs ...Recorder) Recorder {
-	var out multiRecorder
-	for _, r := range rs {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-type multiRecorder []Recorder
-
-func (m multiRecorder) Count(name string, delta int64) {
-	for _, r := range m {
-		r.Count(name, delta)
-	}
-}
-
-func (m multiRecorder) Gauge(name string, v float64) {
-	for _, r := range m {
-		r.Gauge(name, v)
-	}
-}
-
-func (m multiRecorder) PhaseTime(phase string, t units.Time) {
-	for _, r := range m {
-		r.PhaseTime(phase, t)
-	}
-}
-
-func (m multiRecorder) PhaseEnergy(component string, e units.Energy) {
-	for _, r := range m {
-		r.PhaseEnergy(component, e)
-	}
-}
-
-func (m multiRecorder) Timer(name string) func() {
-	stops := make([]func(), len(m))
-	for i, r := range m {
-		stops[i] = r.Timer(name)
-	}
-	return func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}
-}
-
-// Observe implements HistogramRecorder, forwarding to the members that
-// accept histograms.
-func (m multiRecorder) Observe(name string, v float64) {
-	for _, r := range m {
-		Observe(r, name, v)
-	}
 }

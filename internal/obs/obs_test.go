@@ -184,18 +184,3 @@ func TestArtifactAddTableCopies(t *testing.T) {
 		t.Error("AddTable did not deep-copy rows")
 	}
 }
-
-func TestExpvarRecorder(t *testing.T) {
-	r := Expvar()
-	if r == nil {
-		t.Fatal("Expvar() returned nil")
-	}
-	// Must be a stable singleton: expvar panics on duplicate map names.
-	if Expvar() != r {
-		t.Error("Expvar() is not a singleton")
-	}
-	r.Count("test.counter", 2)
-	r.Gauge("test.gauge", 1.25)
-	r.PhaseTime("test.phase", units.Second)
-	r.Timer("test.timer")()
-}

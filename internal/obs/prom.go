@@ -258,10 +258,10 @@ var (
 )
 
 // Metrics returns the process-global Registry backing the /metrics
-// endpoint. Drivers that expose Prometheus install it (usually teed
-// with the expvar bridge) as the default Recorder:
+// endpoint. Commands that expose Prometheus install it as the default
+// Recorder (serve.DebugServer does both):
 //
-//	obs.SetDefault(obs.Multi(obs.Expvar(), obs.Metrics()))
+//	obs.SetDefault(obs.Metrics())
 //	mux.Handle("/metrics", obs.Metrics().PromHandler())
 func Metrics() *Registry {
 	metricsOnce.Do(func() { metricsReg = NewRegistry() })

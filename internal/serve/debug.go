@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -19,13 +18,12 @@ import (
 // listener) and no shutdown path (the goroutine leaks past the run).
 
 // DebugMux returns a mux serving the full introspection surface:
-// /metrics (Prometheus text), /debug/vars (expvar), /debug/flight,
-// /debug/trace, and /debug/pprof/* — explicitly registered, so nothing
-// rides on the global DefaultServeMux.
+// /metrics (Prometheus text), /debug/flight, /debug/trace, and
+// /debug/pprof/* — explicitly registered, so nothing rides on the
+// global DefaultServeMux.
 func DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Metrics().PromHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/flight", obs.FlightHandler())
 	mux.Handle("/debug/trace", obs.TraceHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -51,16 +49,16 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// DebugServer wires the standard observability stack (expvar + metrics
-// recorder, span tracing, cache metric families) and returns a
-// configured server for the debug mux, started by the caller and shut
-// down on drain:
+// DebugServer wires the standard observability stack (the Metrics
+// registry as the default recorder, span tracing, cache metric
+// families) and returns a configured server for the debug mux, started
+// by the caller and shut down on drain:
 //
 //	srv := serve.DebugServer(addr)
 //	go srv.ListenAndServe()
 //	defer serve.ShutdownServer(srv, 5*time.Second)
 func DebugServer(addr string) *http.Server {
-	obs.SetDefault(obs.Multi(obs.Expvar(), obs.Metrics()))
+	obs.SetDefault(obs.Metrics())
 	obs.EnableTracing(0)
 	cache.RegisterMetrics(obs.Default())
 	return NewHTTPServer(addr, DebugMux())

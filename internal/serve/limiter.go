@@ -61,7 +61,7 @@ func (l *Limiter) AllowN(n int) (ok bool, retryAfter time.Duration) {
 		return true, 0
 	}
 	deficit := math.Min(need, l.burst) - l.tokens
-	return false, time.Duration(math.Ceil(deficit/l.rate*float64(time.Second)))
+	return false, time.Duration(math.Ceil(deficit / l.rate * float64(time.Second)))
 }
 
 // Allow is AllowN(1).

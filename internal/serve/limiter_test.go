@@ -12,8 +12,8 @@ type fakeClock struct{ t time.Time }
 func newFakeClock() *fakeClock {
 	return &fakeClock{t: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
 }
-func (c *fakeClock) now() time.Time           { return c.t }
-func (c *fakeClock) advance(d time.Duration)  { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestLimiterSpendsAndRefills(t *testing.T) {
 	clk := newFakeClock()
