@@ -1,71 +1,25 @@
 package repro
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation, as indexed in DESIGN.md §3 — each drives the corresponding
-// experiment runner — plus micro-benchmarks for the load-bearing
-// substrate operations (generation, partitioning, simulation, dynamic
-// updates).
+// Micro-benchmarks for the load-bearing substrate operations
+// (generation, container load, partitioning, simulation, dynamic
+// updates). End-to-end numbers — every paper experiment, sweeps, the
+// service — come from the repository benchmark under bench/.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
-//
-// Benchmarks use the Quick option (two datasets, reduced sweeps) so a
-// full pass stays in CPU-minutes; `go run ./cmd/hyve-bench` regenerates
-// the artifacts at full scale.
+//	go test -bench=. -benchmem -run '^$' .
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/algo"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dynamic"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// cache.Off: a shared cache would answer every point after the first
-	// iteration, timing lookups instead of simulations.
-	opt := experiments.Options{Quick: true, Cache: cache.Off()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table and figure benchmarks (one per paper artifact) --------------
-
-func BenchmarkTable1Navg(b *testing.B)            { benchExperiment(b, "table1") }
-func BenchmarkTable3BankConfigs(b *testing.B)     { benchExperiment(b, "table3") }
-func BenchmarkTable4SRAMSweep(b *testing.B)       { benchExperiment(b, "table4") }
-func BenchmarkFig9SeqAccess(b *testing.B)         { benchExperiment(b, "fig9") }
-func BenchmarkFig10VertexEDP(b *testing.B)        { benchExperiment(b, "fig10") }
-func BenchmarkFig11VertexStorage(b *testing.B)    { benchExperiment(b, "fig11") }
-func BenchmarkFig12Preprocess(b *testing.B)       { benchExperiment(b, "fig12") }
-func BenchmarkFig13CellBits(b *testing.B)         { benchExperiment(b, "fig13") }
-func BenchmarkFig14DataSharing(b *testing.B)      { benchExperiment(b, "fig14") }
-func BenchmarkFig15PowerGating(b *testing.B)      { benchExperiment(b, "fig15") }
-func BenchmarkFig16EnergyEfficiency(b *testing.B) { benchExperiment(b, "fig16") }
-func BenchmarkFig17Breakdown(b *testing.B)        { benchExperiment(b, "fig17") }
-func BenchmarkFig18AbsolutePerf(b *testing.B)     { benchExperiment(b, "fig18") }
-func BenchmarkFig19PrepCompare(b *testing.B)      { benchExperiment(b, "fig19") }
-func BenchmarkFig20Dynamic(b *testing.B)          { benchExperiment(b, "fig20") }
-func BenchmarkFig21GraphR(b *testing.B)           { benchExperiment(b, "fig21") }
-
-// --- Substrate micro-benchmarks -----------------------------------------
 
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -104,11 +58,10 @@ func BenchmarkRMATGenerateWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphLoadV2 is the PR 9 headline: loading a prepared v2
-// container (mmap, stored CSR and grid sections) versus regenerating
-// the same graph and rebuilding its grid from scratch. The load side's
-// allocs/op is the zero-copy pin — it must stay O(1) in |E|, not
-// O(edges).
+// BenchmarkGraphLoadV2 compares loading a prepared v2 container (mmap,
+// stored grid sections) with regenerating the same graph and rebuilding
+// its grid from scratch. The load side's allocs/op is the zero-copy
+// pin — it must stay O(1) in |E|, not O(edges).
 func BenchmarkGraphLoadV2(b *testing.B) {
 	g := benchGraph(b)
 	asg, err := partition.NewHashed(g.NumVertices, 32)
@@ -124,7 +77,7 @@ func BenchmarkGraphLoadV2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := graph.WriteV2Into(w, g, graph.V2Options{CSR: true, Seed: 11}); err != nil {
+	if err := graph.WriteV2Into(w, g, 11); err != nil {
 		b.Fatal(err)
 	}
 	if err := partition.StreamGridInto(w, g, asg, partition.StreamOptions{}); err != nil {

@@ -2,10 +2,10 @@
 // (SNAP-style text edge list, a v2 container, a named dataset, or a
 // synthetic generator spec), apply interval-block partitioning, and
 // report layout statistics — or, with -out, act as the offline compiler
-// for the zero-copy v2 container format: edge list in generation order,
-// optional compressed CSR sections, optional pre-partitioned grid
-// sections at exactly the P a simulation will request (-grid auto), all
-// mmap-loadable by hyve-bench/hyve-sim/hyve-serve via -prep-dir.
+// for the zero-copy v2 container format: edge list in generation order
+// and optional pre-partitioned grid sections at exactly the P a
+// simulation will request (-grid auto), mmap-loadable by
+// hyve-bench/hyve-sim/hyve-serve via -prep-dir.
 //
 // Usage:
 //
@@ -34,7 +34,6 @@ type options struct {
 	in, gen, dataset string
 	scale            int
 	out              string
-	csr              bool
 	grid             string
 	config, algoName string
 	budgetMB         int
@@ -54,12 +53,11 @@ func main() {
 	flag.StringVar(&o.dataset, "dataset", "", "named dataset instance to generate (YT, WK, AS, LJ, TW)")
 	flag.IntVar(&o.scale, "scale", 0, "override the dataset's down-scale divisor (0 = dataset default, 1 = full scale)")
 	flag.StringVar(&o.out, "out", "", "compile the graph into a v2 container at this path (must end in .hyve2)")
-	flag.BoolVar(&o.csr, "csr", true, "include compressed CSR sections in v2 output")
 	flag.StringVar(&o.grid, "grid", "off", "v2 grid sections: off, auto (P from -config/-algo), or an explicit P")
 	flag.StringVar(&o.config, "config", "hyve-opt", "accelerator config for -grid auto: "+strings.Join(point.Names(), ", "))
 	flag.StringVar(&o.algoName, "algo", "PR", "program for -grid auto value sizing (PR, BFS, CC, SSSP, SpMV)")
 	flag.IntVar(&o.budgetMB, "budget", 256, "streaming partition memory budget in MiB")
-	flag.BoolVar(&o.verify, "verify", false, "re-open the container and verify digest, CSR, and grid against a rebuild")
+	flag.BoolVar(&o.verify, "verify", false, "re-open the container and verify digest and grid against a rebuild")
 	flag.IntVar(&o.p, "p", 0, "number of intervals for partitioning stats (0 = skip)")
 	flag.BoolVar(&o.hashed, "hashed", true, "use hashed (balanced) interval assignment")
 	flag.IntVar(&o.occupancy, "occupancy", 0, "also report N-wide block occupancy (e.g. 8 for GraphR stats)")
@@ -213,7 +211,7 @@ func writeV2(o options, g *graph.Graph, seed uint64, ds *graph.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if err := graph.WriteV2Into(w, g, graph.V2Options{CSR: o.csr, Seed: seed}); err != nil {
+	if err := graph.WriteV2Into(w, g, seed); err != nil {
 		return err
 	}
 	if p > 0 {
@@ -242,19 +240,18 @@ func writeV2(o options, g *graph.Graph, seed uint64, ds *graph.Dataset) error {
 		return err
 	}
 	if p > 0 {
-		fmt.Printf("wrote %s (%d bytes, csr=%v, grid P=%d)\n", o.out, st.Size(), o.csr, p)
+		fmt.Printf("wrote %s (%d bytes, grid P=%d)\n", o.out, st.Size(), p)
 	} else {
-		fmt.Printf("wrote %s (%d bytes, csr=%v)\n", o.out, st.Size(), o.csr)
+		fmt.Printf("wrote %s (%d bytes)\n", o.out, st.Size())
 	}
 	return nil
 }
 
 // verifyContainer re-opens a container with both readers and proves the
 // derived sections against a from-scratch rebuild: header digest matches
-// the stored edges, the compressed CSR decodes to exactly BuildCSR's
-// arrays, and the grid sections equal a fresh BuildParallel at the
-// stored P (rebuilt from a clone so the prepared fast path cannot serve
-// the very data being checked).
+// the stored edges, and the grid sections equal a fresh BuildParallel at
+// the stored P (rebuilt from a clone so the prepared fast path cannot
+// serve the very data being checked).
 func verifyContainer(path string) error {
 	c, err := graph.OpenV2(path)
 	if err != nil {
@@ -282,24 +279,6 @@ func verifyContainer(path string) error {
 	}
 	if got := graph.ContentDigest(sc.Graph()); got != c.Digest() {
 		return fmt.Errorf("streaming reader decoded different bytes: %x", got)
-	}
-
-	if cc := c.CSR(); cc != nil {
-		want := graph.BuildCSR(g)
-		got := cc.Materialize()
-		if len(got.Offsets) != len(want.Offsets) {
-			return fmt.Errorf("CSR offsets length %d, want %d", len(got.Offsets), len(want.Offsets))
-		}
-		for v := range want.Offsets {
-			if got.Offsets[v] != want.Offsets[v] {
-				return fmt.Errorf("CSR offset %d is %d, want %d", v, got.Offsets[v], want.Offsets[v])
-			}
-		}
-		for i := range want.Targets {
-			if got.Targets[i] != want.Targets[i] {
-				return fmt.Errorf("CSR target %d is %d, want %d", i, got.Targets[i], want.Targets[i])
-			}
-		}
 	}
 
 	if off, edges, wts, p, contig, ok := c.GridParts(); ok {

@@ -97,13 +97,13 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestRunV2Compile drives the offline-compiler path end to end: compile
-// a generated graph to a v2 container with CSR and grid sections, verify
+// a generated graph to a v2 container with grid sections, verify
 // it, then reload it through -in and verify it again.
 func TestRunV2Compile(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "g.hyve2")
 	o := options{
-		gen: "rmat:2000:9000:4", out: out, csr: true,
+		gen: "rmat:2000:9000:4", out: out,
 		grid: "8", budgetMB: 1, verify: true, stats: false, hashed: true,
 	}
 	if err := run(o); err != nil {
@@ -113,8 +113,8 @@ func TestRunV2Compile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.CSR() == nil || c.GridP() != 8 || c.Seed() != 4 {
-		t.Fatalf("container: csr=%v gridP=%d seed=%d", c.CSR() != nil, c.GridP(), c.Seed())
+	if c.GridP() != 8 || c.Seed() != 4 {
+		t.Fatalf("container: gridP=%d seed=%d", c.GridP(), c.Seed())
 	}
 	c.Close()
 
@@ -130,7 +130,7 @@ func TestRunV2GridAuto(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "auto.hyve2")
 	o := options{
-		gen: "rmat:4096:20000:9", out: out, csr: false,
+		gen: "rmat:4096:20000:9", out: out,
 		grid: "auto", config: "hyve-opt", algoName: "PR",
 		budgetMB: 1, verify: true, hashed: true,
 	}
@@ -150,7 +150,7 @@ func TestRunV2GridAuto(t *testing.T) {
 func TestVerifyCatchesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "c.hyve2")
-	if err := run(options{gen: "uniform:500:2000:2", out: out, csr: true, grid: "off"}); err != nil {
+	if err := run(options{gen: "uniform:500:2000:2", out: out, grid: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte of the stored digest: structural validation still

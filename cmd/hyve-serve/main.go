@@ -82,12 +82,8 @@ func main() {
 	cache.RegisterMetrics(obs.Default())
 	serve.RegisterMetrics(obs.Default())
 
-	var sched *cache.Scheduler
-	if *cacheDir != "" {
-		sched = cache.New(cache.Config{Dir: *cacheDir})
-	}
 	srvr := serve.New(serve.Config{
-		Sched:           sched,
+		Sched:           cache.New(cache.Config{Dir: *cacheDir}),
 		Workers:         *par,
 		Rate:            *rate,
 		Burst:           *burst,

@@ -263,7 +263,7 @@ func TestEveryConfigReachesEveryConsumer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("jobs.NewSimSpec rejects %s: %v", name, err)
 		}
-		job, err := jobs.Decode(wire, jobs.ExecOptions{Cache: sched})
+		job, err := jobs.Decode(wire, sched)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func run(args []string) int {
 		heartbeat   = fs.Duration("heartbeat", 0, "heartbeat interval workers are told to use (0 = lease-ttl/4)")
 		poisonAfter = fs.Int("poison-after", cluster.DefaultPoisonAfter, "quarantine a shard after this many distinct workers fail it")
 		local       = fs.Bool("local", true, "execute shards locally whenever no workers are live (degradation path)")
-		cacheDir    = fs.String("cache-dir", "", "share the on-disk content-addressed result cache rooted here")
+		cacheDir    = fs.String("cache-dir", "", "share the on-disk content-addressed result cache rooted here (empty = in-memory only)")
 		prepDir     = fs.String("prep-dir", "", "load datasets from hyve-prep v2 containers in this directory when present")
 		pprof       = fs.String("pprof", "", "serve pprof, /metrics, /debug/flight on this address (e.g. :6060)")
 		linger      = fs.Duration("linger", 0, "keep serving -pprof this long after the sweep completes (metrics scrape window)")
@@ -104,11 +104,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "hyve-sweepd:", err)
 		return 2
 	}
-	var sched *cache.Scheduler
-	if *cacheDir != "" {
-		sched = cache.New(cache.Config{Dir: *cacheDir})
-	}
-	job, err := jobs.Decode(spec, jobs.ExecOptions{Cache: sched})
+	job, err := jobs.Decode(spec, cache.New(cache.Config{Dir: *cacheDir}))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyve-sweepd:", err)
 		return 2

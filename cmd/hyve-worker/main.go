@@ -52,7 +52,7 @@ func run(args []string) int {
 		connect     = fs.String("connect", "", "coordinator address (host:port); required")
 		name        = fs.String("name", defaultName(), "worker name in coordinator logs and per-worker metrics")
 		par         = fs.Int("parallel", 0, "points of a lease to execute concurrently (0 = GOMAXPROCS)")
-		cacheDir    = fs.String("cache-dir", "", "share the on-disk content-addressed result cache rooted here")
+		cacheDir    = fs.String("cache-dir", "", "share the on-disk content-addressed result cache rooted here (empty = in-memory only)")
 		prepDir     = fs.String("prep-dir", "", "load datasets from hyve-prep v2 containers in this directory when present")
 		dialRetries = fs.Int("dial-retries", 10, "redial attempts after a lost connection before giving up")
 		chaosDelay  = fs.Duration("chaos-delay", 0, "fault-injection: sleep this long after computing each point before reporting it")
@@ -72,13 +72,9 @@ func run(args []string) int {
 
 	graph.SetPreparedDir(*prepDir)
 
-	var sched *cache.Scheduler
-	if *cacheDir != "" {
-		sched = cache.New(cache.Config{Dir: *cacheDir})
-	}
 	cfg := cluster.WorkerConfig{
 		Name:       *name,
-		Factory:    jobs.Factory(jobs.ExecOptions{Cache: sched}),
+		Factory:    jobs.Factory(cache.New(cache.Config{Dir: *cacheDir})),
 		Parallel:   *par,
 		ChaosDelay: *chaosDelay,
 	}

@@ -2,18 +2,18 @@
 // makes result reuse flow through it: a versioned content digest over
 // (Config, Workload, code-schema version), a sharded in-memory LRU plus
 // an on-disk content-addressed store of results, and one Scheduler
-// through which hyve-bench, hyve-check, and any core.Machine consumer
-// submit points — so identical points across experiments, sweeps, and
-// conformance runs execute exactly once (ROADMAP: the content-addressed
-// result cache).
+// through which experiments, the service and cluster jobs submit points
+// — so identical points execute exactly once. A nil *Scheduler means no
+// cache: every point executes. Each command's main builds the scheduler
+// it uses (cache.New, or cache.Off for -no-cache).
 //
 // The digest is the single source of truth for "same point": two points
 // with equal digests produce byte-identical results (pinned by the
 // cache-hit-identity conformance invariant and the cold-vs-warm golden
 // tests), and anything that could change result bytes — a config knob, a
 // workload field, the graph's actual edges, the simulator's semantic
-// version — is folded into it. Host-resource knobs that are bit-identity
-// invariant by contract (Config.Parallelism, Config.Recorder) are
+// version — is folded into it. The one host-resource knob, which is
+// bit-identity invariant by contract (Config.Parallelism), is
 // deliberately excluded.
 package cache
 
@@ -119,10 +119,8 @@ func GraphDigest(g *graph.Graph) Digest { return Digest(graph.ContentDigest(g)) 
 // PointDigest computes the canonical identity of one simulation point:
 // every Config and Workload field that can influence result bytes,
 // serialized in a fixed order under DigestSchema and core.SimSchema.
-// Config.Parallelism and Config.Recorder are excluded — results are
-// bit-identical at every parallelism by contract, and the recorder is a
-// side channel (the Scheduler bypasses the cache entirely when one is
-// attached, so observed runs always execute).
+// Config.Parallelism is excluded — results are bit-identical at every
+// parallelism by contract.
 func PointDigest(cfg core.Config, w core.Workload) (Digest, error) {
 	if w.Graph == nil {
 		return Digest{}, fmt.Errorf("cache: workload has no graph")

@@ -218,8 +218,8 @@ func TestDigestCoversEveryField(t *testing.T) {
 		v      any
 		fields int
 	}{
-		// 15 digested + 2 excluded host knobs (Parallelism, Recorder).
-		{core.Config{}, 17},
+		// 15 digested + 1 excluded host knob (Parallelism).
+		{core.Config{}, 16},
 		{core.Workload{}, 8},
 		{rram.Config{}, 5},
 		{rram.CellParams{}, 8},

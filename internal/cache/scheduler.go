@@ -28,8 +28,8 @@ const resultEntries = 4096
 // simulations; Errors counts submissions whose execution failed (error
 // outcomes are never cached — a failing point re-executes every time,
 // deliberately, so probes of error paths keep probing). Bypassed counts
-// submissions that skipped the cache entirely (a recorder was attached,
-// or the point could not be digested).
+// submissions that skipped the cache entirely (an Off scheduler, or a
+// point that could not be digested).
 type Stats struct {
 	Executed  uint64
 	MemHits   uint64
@@ -51,8 +51,10 @@ type Stats struct {
 // from the scheduler as read-only (the experiment race tests run under
 // -race, which turns any violation into a reported data race).
 //
-// A nil *Scheduler is valid and simply executes every submission — so
-// call sites can thread an optional scheduler without nil checks.
+// A nil *Scheduler is valid and means "no cache" everywhere: it executes
+// every submission, so call sites can thread an optional scheduler
+// without nil checks. Consumers never substitute a default for nil;
+// each command's main builds the scheduler it wants.
 type Scheduler struct {
 	off     bool
 	disk    *store
@@ -89,10 +91,7 @@ func New(c Config) *Scheduler {
 }
 
 // Off returns a scheduler that executes every submission and caches
-// nothing — the -no-cache escape hatch. Unlike nil, which also executes
-// every submission, it counts each one as bypassed in Stats, and it
-// survives configs that read nil as "build a default scheduler"
-// (serve.Config.Sched, jobs.ExecOptions.Cache).
+// nothing, like nil; unlike nil, it counts each one as bypassed in Stats.
 func Off() *Scheduler { return &Scheduler{off: true} }
 
 // Stats returns a snapshot of the scheduler's counters.
@@ -162,7 +161,7 @@ func (s *Scheduler) Simulate(cfg core.Config, w core.Workload) (*core.Result, er
 // scheduler.
 func (s *Scheduler) SimulateCtx(ctx context.Context, cfg core.Config, w core.Workload) (*core.Result, error) {
 	rec := obs.Default()
-	if s == nil || s.off || cfg.Recorder != nil {
+	if s == nil || s.off {
 		if s != nil {
 			s.bypassed.Add(1)
 			rec.Count(MetricBypassed, 1)

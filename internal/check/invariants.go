@@ -180,7 +180,7 @@ func checkKernelVsOracle(p *Point) error {
 // SRAM (or the global device in the SRAM-less baselines), the edge
 // device's sequential read, and the CMOS PU op.
 func analyticModel(p *Point) (analytic.Model, error) {
-	_, gp, err := core.Grid(p.Cfg, p.Workload)
+	gp, err := core.ChoosePFor(p.Cfg, p.Workload)
 	if err != nil {
 		return analytic.Model{}, err
 	}
@@ -544,7 +544,7 @@ func checkCacheHitIdentity(p *Point) error {
 
 // checkV2LoadIdentity holds the prepared-container pipeline (PR 9) to
 // the generation contract: a graph round-tripped through a v2 container
-// — CSR and pre-partitioned grid sections included — must be
+// — pre-partitioned grid sections included — must be
 // indistinguishable from the in-process instance. The point's graph is
 // compiled to a temp container at the P its own simulation will choose,
 // then loaded back through both readers (mmap via OpenV2 and the
@@ -585,7 +585,7 @@ func checkV2LoadIdentity(p *Point) error {
 	if err != nil {
 		return err
 	}
-	if err := graph.WriteV2Into(w, p.Graph, graph.V2Options{CSR: true, Seed: p.Seed}); err != nil {
+	if err := graph.WriteV2Into(w, p.Graph, p.Seed); err != nil {
 		return err
 	}
 	asg, err := partition.NewHashed(p.Graph.NumVertices, gridP)

@@ -35,7 +35,7 @@ func RunCheckCluster(opt check.Options, workers int) (*check.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	job, err := Decode(spec, ExecOptions{})
+	job, err := Decode(spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func RunCheckCluster(opt check.Options, workers int) (*check.Summary, error) {
 			defer wg.Done()
 			cluster.RunWorker(ctx, wSide, cluster.WorkerConfig{
 				Name:    fmt.Sprintf("inproc%d", i),
-				Factory: Factory(ExecOptions{}),
+				Factory: Factory(nil),
 			})
 		}(w)
 	}

@@ -39,14 +39,6 @@ type CheckSpec struct {
 	PointTimeoutMS int64  `json:"point_timeout_ms,omitempty"`
 }
 
-// ExecOptions carries the local execution environment a spec does not
-// describe. Prepared datasets are the process's graph.SetPreparedDir.
-type ExecOptions struct {
-	// Cache is the scheduler sim points are submitted through (nil = a
-	// private in-memory scheduler per job). Check points run without one.
-	Cache *cache.Scheduler
-}
-
 // NewSimSpec encodes a simulation sweep spec, validating every point —
 // a coordinator should refuse an impossible sweep before leasing
 // anything. Only core configurations parse: the analytic graphr/cpu
@@ -79,8 +71,11 @@ func encodeSpec(s Spec) ([]byte, error) {
 
 // Decode builds the Job a spec describes. Both sides of the wire call
 // it: workers through Factory, coordinators directly (for Validate and
-// local degradation).
-func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
+// local degradation). sched is the scheduler sim points are submitted
+// through; nil means no cache, and check points never use one. The
+// rest of the local environment a spec does not describe is process
+// state (prepared datasets: graph.SetPreparedDir).
+func Decode(spec []byte, sched *cache.Scheduler) (cluster.Job, error) {
 	dec := json.NewDecoder(bytes.NewReader(spec))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -94,10 +89,6 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		}
 		if _, err := s.Sim.Specs(); err != nil {
 			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		sched := opt.Cache
-		if sched == nil {
-			sched = cache.New(cache.Config{})
 		}
 		return &simJob{sweep: *s.Sim, sched: sched}, nil
 	case "check":
@@ -114,8 +105,8 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 }
 
 // Factory adapts Decode into the worker-side cluster.JobFactory.
-func Factory(opt ExecOptions) cluster.JobFactory {
-	return func(spec []byte) (cluster.Job, error) { return Decode(spec, opt) }
+func Factory(sched *cache.Scheduler) cluster.JobFactory {
+	return func(spec []byte) (cluster.Job, error) { return Decode(spec, sched) }
 }
 
 // simJob executes simulation points through the shared scheduler and

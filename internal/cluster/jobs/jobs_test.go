@@ -42,7 +42,7 @@ func workerHelper(addr string) int {
 	}
 	done, err := cluster.RunWorker(context.Background(), conn, cluster.WorkerConfig{
 		Name:       "helper",
-		Factory:    Factory(ExecOptions{}),
+		Factory:    Factory(nil),
 		Parallel:   1,
 		ChaosDelay: chaos,
 	})
@@ -61,7 +61,7 @@ func simSpecSmall(t *testing.T) ([]byte, cluster.Job) {
 	if err != nil {
 		t.Fatalf("NewSimSpec: %v", err)
 	}
-	job, err := Decode(spec, ExecOptions{})
+	job, err := Decode(spec, nil)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -109,14 +109,14 @@ func TestClusterIdentity(t *testing.T) {
 	s1, c1 := net.Pipe()
 	go coord.ServeConn(s1)
 	go cluster.RunWorker(ctx, c1, cluster.WorkerConfig{
-		Name: "doomed", Factory: Factory(ExecOptions{}), Parallel: 1,
+		Name: "doomed", Factory: Factory(nil), Parallel: 1,
 		ChaosDelay: 200 * time.Millisecond,
 	})
 	// Worker 2 behaves.
 	s2, c2 := net.Pipe()
 	go coord.ServeConn(s2)
 	go cluster.RunWorker(ctx, c2, cluster.WorkerConfig{
-		Name: "steady", Factory: Factory(ExecOptions{}), Parallel: 1,
+		Name: "steady", Factory: Factory(nil), Parallel: 1,
 	})
 
 	// Yank worker 1 once the sweep is moving.
@@ -265,10 +265,10 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := NewCheckSpec(1, 0, 0); err == nil {
 		t.Fatal("zero-point check spec accepted")
 	}
-	if _, err := Decode([]byte(`{"kind":"nope"}`), ExecOptions{}); err == nil {
+	if _, err := Decode([]byte(`{"kind":"nope"}`), nil); err == nil {
 		t.Fatal("unknown kind decoded")
 	}
-	if _, err := Decode([]byte(`{"kind":"sim","sim":{"datasets":["YT"],"algos":["PR"],"configs":["hyve"],"sram_mb":2},"extra":1}`), ExecOptions{}); err == nil {
+	if _, err := Decode([]byte(`{"kind":"sim","sim":{"datasets":["YT"],"algos":["PR"],"configs":["hyve"],"sram_mb":2},"extra":1}`), nil); err == nil {
 		t.Fatal("unknown spec field decoded")
 	}
 }

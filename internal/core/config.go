@@ -19,7 +19,6 @@ import (
 	"repro/internal/device/rram"
 	"repro/internal/fault"
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/units"
 )
 
@@ -108,21 +107,6 @@ type Config struct {
 	// cycles (§4.2: "the access latency of the remote interval is
 	// approximately 5 to 10 SRAM operating clock cycles").
 	RerouteCycles int
-
-	// Recorder, when non-nil, receives the run's metrics: per-phase
-	// simulated time, per-component energy, traffic counters, gating
-	// outcomes. Nil falls back to the process-global obs.Default(),
-	// which is a no-op unless a driver installed one — so unobserved
-	// simulations pay nothing.
-	Recorder obs.Recorder
-}
-
-// recorder resolves the run's metrics sink.
-func (c Config) recorder() obs.Recorder {
-	if c.Recorder != nil {
-		return c.Recorder
-	}
-	return obs.Default()
 }
 
 // Validate checks the configuration for consistency.

@@ -341,17 +341,35 @@ func TestSRAMSweetSpotExists(t *testing.T) {
 	}
 }
 
+// TestGridExposesPartition pins ChoosePFor to the P a machine actually
+// partitions into: callers that need only P (the analytic models of the
+// reliability experiment and the conformance harness) ask ChoosePFor
+// instead of assembling a machine, so the two must never drift.
 func TestGridExposesPartition(t *testing.T) {
-	w := testWorkload(t, "PR")
-	g, p, err := Grid(HyVE(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.P() != p {
-		t.Errorf("grid P %d != reported %d", g.P(), p)
-	}
-	if g.NumEdges() != w.Graph.NumEdges() {
-		t.Errorf("grid holds %d edges, graph has %d", g.NumEdges(), w.Graph.NumEdges())
+	cfgs := []Config{HyVE(), HyVEOpt(), SRAMDRAM(), AccDRAM(), AccReRAM()}
+	for _, prog := range []string{"PR", "SSSP"} {
+		for _, full := range []int64{0, 1 << 22} {
+			w := testWorkload(t, prog)
+			w.FullVertices = full
+			for _, cfg := range cfgs {
+				p, err := ChoosePFor(cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := NewMachine(cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p != m.P() || m.Grid().P() != p {
+					t.Errorf("%s %s full=%d: ChoosePFor %d, machine P %d, grid P %d",
+						cfg.Name, prog, full, p, m.P(), m.Grid().P())
+				}
+				if m.Grid().NumEdges() != w.Graph.NumEdges() {
+					t.Errorf("%s %s: grid holds %d edges, graph has %d",
+						cfg.Name, prog, m.Grid().NumEdges(), w.Graph.NumEdges())
+				}
+			}
+		}
 	}
 }
 

@@ -112,16 +112,6 @@ func FunctionalSummary(g *graph.Graph, p algo.Program) (*algo.Result, error) {
 	return v.(*algo.Result), nil
 }
 
-// Grid exposes the simulator's partition for inspection in tests and
-// experiments.
-func Grid(cfg Config, w Workload) (*partition.Grid, int, error) {
-	m, err := NewMachine(cfg, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m.Grid(), m.P(), nil
-}
-
 // Machine is one assembled simulator instance for a (Config, Workload)
 // point: the devices, regions, and — most importantly — the partitioned
 // grid are built once and shared by every run of the point. Use it when

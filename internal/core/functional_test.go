@@ -6,7 +6,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/partition"
 )
 
 // The block-parallel functional execution must be bit-identical to the
@@ -140,17 +139,6 @@ func TestMachineSharesGrid(t *testing.T) {
 		t.Errorf("machine simulate diverges: time %v vs %v, energy %v vs %v",
 			sr.Report.Time, wantS.Report.Time, sr.Report.Energy.Total(), wantS.Report.Energy.Total())
 	}
-
-	// The machine's grid is the same partition Grid() reports.
-	pg, p, err := Grid(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != m.P() || pg.NumEdges() != grid.NumEdges() {
-		t.Errorf("Grid() disagrees with machine: P %d vs %d, edges %d vs %d",
-			p, m.P(), pg.NumEdges(), grid.NumEdges())
-	}
-	var _ *partition.Grid = pg
 }
 
 // TestEntryPointsRejectBadWorkloads: every entry point that assembles a
@@ -170,7 +158,6 @@ func TestEntryPointsRejectBadWorkloads(t *testing.T) {
 		"Simulate":      func(c Config, w Workload) error { _, err := Simulate(c, w); return err },
 		"NewMachine":    func(c Config, w Workload) error { _, err := NewMachine(c, w); return err },
 		"RunFunctional": func(c Config, w Workload) error { _, err := RunFunctional(c, w); return err },
-		"Grid":          func(c Config, w Workload) error { _, _, err := Grid(c, w); return err },
 	}
 	for wname, w := range workloads {
 		for ename, entry := range entries {

@@ -278,7 +278,6 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.gate.SetRecorder(cfg.recorder())
 	}
 	return s, nil
 }
@@ -287,7 +286,8 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 // w's graph into under cfg — the same decision newSim makes, exposed so
 // offline tooling (hyve-prep -grid auto) can pre-partition a container
 // at exactly the P a later simulation will request and hit the prepared
-// fast path.
+// fast path, and so callers that need only P (the analytic models) do
+// not assemble a machine to learn it.
 func ChoosePFor(cfg Config, w Workload) (int, error) {
 	if cfg.UseOnChipSRAM {
 		// P from full-scale vertices so partition counts match the
@@ -565,13 +565,14 @@ func (s *machine) injectFaults(bd *energy.Breakdown, totalTime *units.Time, d *D
 	return nil
 }
 
-// report publishes the finished run as first-class named metrics: the
-// Algorithm 2 phase anatomy, the Fig. 17 energy components, the
-// off-chip traffic, and the gating outcome. Reporting happens once per
-// run — never per edge — so the hot path is untouched, and a no-op
-// recorder reduces the whole call to a handful of interface calls.
+// report publishes the finished run to the process-global recorder as
+// first-class named metrics: the Algorithm 2 phase anatomy, the Fig. 17
+// energy components, the off-chip traffic, and the gating outcome.
+// Reporting happens once per run — never per edge — so the hot path is
+// untouched, and the default no-op recorder reduces the whole call to a
+// handful of interface calls.
 func (s *machine) report(rep *energy.Report, d *Detail) {
-	rec := s.cfg.recorder()
+	rec := obs.Default()
 	iters := float64(d.Iterations)
 	rec.Count("sim.runs", 1)
 	rec.Count("sim.iterations", int64(d.Iterations))

@@ -23,10 +23,11 @@ func TestTraceCoversEveryBlockOnce(t *testing.T) {
 	trace := collectTrace(t, cfg, w)
 	r := simulate(t, cfg, w)
 
-	grid, p, err := Grid(cfg, w)
+	m, err := NewMachine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid, p := m.Grid(), m.P()
 	seen := make(map[[2]int]int)
 	var edgeBytes int64
 	for _, a := range trace {

@@ -39,7 +39,10 @@ type Store interface {
 // of a block size"); when slack runs out, an overflow extent is linked
 // from the end of the block. Vertex intervals carry slack too; running
 // out of vertex slack forces a full re-preprocess (the paper's stated
-// policy, because vertex access is not sequential).
+// policy, because vertex access is not sequential). The rare structural
+// events (overflow extents, re-preprocessing, compactions) are counted
+// in obs.Default() — never the per-request fast path, so the Fig. 20
+// wall-clock measurement stays undisturbed.
 type HyVEStore struct {
 	asg   partition.Assigner
 	slack float64
@@ -59,17 +62,7 @@ type HyVEStore struct {
 	Repreprocess  int64 // full preprocessing passes forced by vertex growth
 	MovedLastEdge int64 // deletes that relocated a block's last edge
 	Compactions   int64 // maintenance passes that restored slack
-
-	// rec observes the store's *rare* structural events (overflow
-	// extents, forced re-preprocessing, compactions) — never the
-	// per-request fast path, so the Fig. 20 wall-clock measurement stays
-	// undisturbed. Defaults to the process-global recorder.
-	rec obs.Recorder
 }
-
-// SetRecorder replaces the store's metrics sink (nil restores the
-// no-op).
-func (s *HyVEStore) SetRecorder(r obs.Recorder) { s.rec = obs.OrNop(r) }
 
 type dynBlock struct {
 	edges    []graph.Edge
@@ -153,7 +146,6 @@ func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVES
 		vertexSlack: int(float64(g.NumVertices) * slack),
 		invalid:     map[graph.VertexID]bool{},
 		liveEdges:   int64(g.NumEdges()),
-		rec:         obs.Default(),
 	}
 	for x := 0; x < p; x++ {
 		for y := 0; y < p; y++ {
@@ -209,7 +201,7 @@ func (s *HyVEStore) AddEdge(e graph.Edge) (int, error) {
 		blk.reserved += grow
 		blk.overflowed = true
 		s.Overflows++
-		s.rec.Count("dynamic.overflows", 1)
+		obs.Default().Count("dynamic.overflows", 1)
 	}
 	blk.edges = append(blk.edges, e)
 	k := edgeKey(e)
@@ -264,7 +256,7 @@ func (s *HyVEStore) AddVertex() (graph.VertexID, int, error) {
 		// is a bookkeeping pass; we count it as the paper counts it.
 		s.vertexSlack = int(float64(s.numVertices)*s.slack) + 1
 		s.Repreprocess++
-		s.rec.Count("dynamic.repreprocess", 1)
+		obs.Default().Count("dynamic.repreprocess", 1)
 	}
 	id := graph.VertexID(s.numVertices)
 	s.numVertices++
@@ -316,7 +308,7 @@ func (s *HyVEStore) Compact() {
 	}
 	s.Overflows = 0
 	s.Compactions++
-	s.rec.Count("dynamic.compactions", 1)
+	obs.Default().Count("dynamic.compactions", 1)
 }
 
 // OverflowedBlocks counts blocks carrying linked overflow extents since

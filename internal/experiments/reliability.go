@@ -135,7 +135,7 @@ func runReliability(w io.Writer, opt Options) error {
 // local, ReRAM edge stream).
 func reliabilityModel(wl core.Workload) (analytic.Model, error) {
 	cfg := core.HyVEOpt()
-	_, gp, err := core.Grid(cfg, wl)
+	gp, err := core.ChoosePFor(cfg, wl)
 	if err != nil {
 		return analytic.Model{}, err
 	}

@@ -27,7 +27,7 @@ func FuzzParseEdgeList(f *testing.F) {
 			t.Fatalf("accepted graph fails validation: %v\ninput: %q", err, text)
 		}
 		// And must round-trip through the v2 container unchanged.
-		data := validV2(t, g, V2Options{})
+		data := validV2(t, g, 0)
 		c, err := ReadV2(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("serialized graph does not parse: %v", err)

@@ -10,14 +10,14 @@ import (
 
 // validV2 renders g into v2 container bytes through a temp file (the
 // writer needs a seeker).
-func validV2(t testing.TB, g *Graph, opt V2Options) []byte {
+func validV2(t testing.TB, g *Graph, seed uint64) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fuzz.hyve2")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(f, g, opt); err != nil {
+	if err := WriteV2(f, g, seed); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -37,18 +37,25 @@ func fuzzV2Graph(t testing.TB) *Graph {
 	return g
 }
 
+// fuzzV2Weighted is fuzzV2Graph with weights attached: its container
+// holds two sections, so table mutations can address entries 0 and 1.
+func fuzzV2Weighted(t testing.TB) *Graph {
+	t.Helper()
+	wg := fuzzV2Graph(t).Clone()
+	AttachUniformWeights(wg, 8, 2)
+	return wg
+}
+
 // FuzzReadV2 throws arbitrary bytes at both v2 readers. Neither may
 // panic, loop, or over-allocate; and they must agree — any input one
 // reader accepts, the other must accept with a bit-identical graph
 // (the differential half of the v2-load-identity invariant).
 func FuzzReadV2(f *testing.F) {
 	g := fuzzV2Graph(f)
-	wg := g.Clone()
-	AttachUniformWeights(wg, 8, 2)
-	f.Add(validV2(f, g, V2Options{}))
-	f.Add(validV2(f, g, V2Options{CSR: true}))
-	f.Add(validV2(f, g, V2Options{CSR: true, CSRBlockVerts: 3, Seed: 7}))
-	f.Add(validV2(f, wg, V2Options{CSR: true}))
+	f.Add(validV2(f, g, 0))
+	f.Add(validV2(f, g, 7))
+	f.Add(validV2(f, fuzzV2Weighted(f), 0))
+	f.Add(validV2(f, &Graph{NumVertices: 256}, 0))
 	f.Add([]byte("HyV2"))
 	f.Add([]byte{})
 
@@ -68,17 +75,9 @@ func FuzzReadV2(f *testing.F) {
 		if da != db {
 			t.Fatalf("readers decoded different graphs: %x vs %x", da, db)
 		}
-		// Whatever parsed must satisfy the graph's own validator and,
-		// when a CSR view exists, decode cleanly end to end.
+		// Whatever parsed must satisfy the graph's own validator.
 		if err := a.Graph().Validate(); err != nil {
 			t.Fatalf("accepted container fails Validate: %v", err)
-		}
-		if csr := a.CSR(); csr != nil {
-			csr.ForEachEdge(func(src, dst VertexID) {
-				if int(dst) >= a.Graph().NumVertices {
-					t.Fatalf("CSR emitted out-of-range target %d", dst)
-				}
-			})
 		}
 	})
 }
@@ -88,8 +87,7 @@ func FuzzReadV2(f *testing.F) {
 // crash them. These are the crashers-by-construction for the section
 // table; fuzzing found no additional classes beyond these.
 func TestReadV2HostileInputs(t *testing.T) {
-	g := fuzzV2Graph(t)
-	valid := validV2(t, g, V2Options{CSR: true, Seed: 3})
+	valid := validV2(t, fuzzV2Weighted(t), 3)
 	tableOff := binary.LittleEndian.Uint64(valid[32:])
 	nSecs := binary.LittleEndian.Uint32(valid[12:])
 
@@ -107,16 +105,19 @@ func TestReadV2HostileInputs(t *testing.T) {
 		{"bad-magic", func(b []byte) { put32(b, 0, 0xDEADBEEF) }},
 		{"bad-version", func(b []byte) { put32(b, 4, 99) }},
 		{"unknown-flags", func(b []byte) { put32(b, 8, 0x80) }},
+		// Bit 1 marked the retired compressed-CSR sections.
+		{"csr-flag", func(b []byte) { put32(b, 8, binary.LittleEndian.Uint32(b[8:])|1<<1) }},
 		{"huge-verts", func(b []byte) { put64(b, 16, 1<<40) }},
 		{"huge-edges", func(b []byte) { put64(b, 24, 1<<40) }},
 		{"table-out-of-file", func(b []byte) { put64(b, 32, uint64(len(b))) }},
 		{"table-misaligned", func(b []byte) { put64(b, 32, tableOff+3) }},
 		{"too-many-sections", func(b []byte) { put32(b, 12, v2MaxSections+1) }},
-		{"zero-block-verts", func(b []byte) { put64(b, 80, 0) }},
+		{"nonzero-reserved", func(b []byte) { put64(b, 80, 4096) }},
 		{"grid-p-without-flag", func(b []byte) { put32(b, 40, 5) }},
 		{"section-misaligned", func(b []byte) { put64(b, entryOff(0)+8, 4096+8) }},
 		{"section-past-eof", func(b []byte) { put64(b, entryOff(0)+16, uint64(len(b))) }},
 		{"section-count-mismatch", func(b []byte) { put64(b, entryOff(0)+24, 1) }},
+		{"unknown-encoding", func(b []byte) { put32(b, entryOff(0)+4, 1) }},
 		{"duplicate-section", func(b []byte) {
 			// Make entry 1 a copy of entry 0.
 			copy(b[entryOff(1):entryOff(1)+v2EntrySize], b[entryOff(0):entryOff(0)+v2EntrySize])
@@ -148,35 +149,5 @@ func TestReadV2HostileInputs(t *testing.T) {
 				t.Errorf("ReadV2 accepted %s", tc.name)
 			}
 		})
-	}
-}
-
-// TestReadV2TruncatedVarint corrupts the compressed target stream so a
-// varint runs past its block: Validate must reject it at load.
-func TestReadV2TruncatedVarint(t *testing.T) {
-	g := fuzzV2Graph(t)
-	valid := validV2(t, g, V2Options{CSR: true})
-	tableOff := binary.LittleEndian.Uint64(valid[32:])
-	nSecs := binary.LittleEndian.Uint32(valid[12:])
-	// Find the TGTS section and set every byte to 0x80 (continuation bit
-	// forever): the first decode hits end-of-block mid-varint.
-	var found bool
-	for i := uint32(0); i < nSecs; i++ {
-		e := valid[tableOff+uint64(i)*v2EntrySize:]
-		if binary.LittleEndian.Uint32(e[0:]) != SecCSRTgt {
-			continue
-		}
-		off := binary.LittleEndian.Uint64(e[8:])
-		size := binary.LittleEndian.Uint64(e[16:])
-		for j := off; j < off+size; j++ {
-			valid[j] = 0x80
-		}
-		found = true
-	}
-	if !found {
-		t.Fatal("no TGTS section in container")
-	}
-	if _, err := parseV2Bytes(valid, false); err == nil {
-		t.Fatal("all-continuation varint stream accepted")
 	}
 }

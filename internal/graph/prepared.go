@@ -54,15 +54,17 @@ func (d Dataset) loadPrepared(dir string) (*Graph, error) {
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		return nil, nil
 	}
+	regen := func(err error) error {
+		return fmt.Errorf("%w\n(regenerate with: hyve-prep -dataset %s -out %s)", err, d.Name, path)
+	}
 	c, err := OpenV2(path)
 	if err != nil {
-		return nil, fmt.Errorf("prepared dataset %s: %w", d.Name, err)
+		return nil, regen(fmt.Errorf("prepared dataset %s: %w", d.Name, err))
 	}
 	g := c.Graph()
 	if err := d.checkPrepared(c, g); err != nil {
 		c.Close()
-		return nil, fmt.Errorf("prepared dataset %s (%s): %w\n(regenerate with: hyve-prep -dataset %s -out %s)",
-			d.Name, path, err, d.Name, path)
+		return nil, regen(fmt.Errorf("prepared dataset %s (%s): %w", d.Name, path, err))
 	}
 	// The container is intentionally left open: on the zero-copy path
 	// the memoized graph aliases the mapping for the process lifetime.

@@ -45,7 +45,7 @@ func TestPreparedLoadIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(f, want, V2Options{CSR: true, Seed: d.Seed}); err != nil {
+	if err := WriteV2(f, want, d.Seed); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -92,7 +92,7 @@ func TestPreparedLoadRejectsStaleContainer(t *testing.T) {
 	}
 	// Seed 0 = "unknown" skips the seed equality check, forcing the
 	// chunk-0 fingerprint to catch the mismatch.
-	if err := WriteV2(f, stale, V2Options{}); err != nil {
+	if err := WriteV2(f, stale, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -118,7 +118,7 @@ func TestPreparedLoadRejectsWrongSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(f, g, V2Options{Seed: 0xBAD}); err != nil {
+	if err := WriteV2(f, g, 0xBAD); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -142,7 +142,7 @@ func TestPreparedLoadRejectsWrongSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(f, g, V2Options{Seed: d.Seed}); err != nil {
+	if err := WriteV2(f, g, d.Seed); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -150,5 +150,44 @@ func TestPreparedLoadRejectsWrongSize(t *testing.T) {
 	resetPrepared(t, dir, d)
 	if _, err := d.Load(); err == nil || !strings.Contains(err.Error(), "dataset generates") {
 		t.Fatalf("wrong-size container not rejected: %v", err)
+	}
+}
+
+// TestPreparedLoadNamesRegenerateCommand: a container the reader itself
+// refuses (here one carrying an unknown header flag, as a file from an
+// older writer does) must fail with the command that regenerates it,
+// like every other rejection on this path.
+func TestPreparedLoadNamesRegenerateCommand(t *testing.T) {
+	d := prepTestDataset("ZR", 0x5656)
+	g, err := d.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := d.PreparedPath(dir)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteV2(f, g, d.Seed); err != nil {
+		t.Fatal(err)
+	}
+	var flags [4]byte
+	if _, err := f.ReadAt(flags[:], 8); err != nil {
+		t.Fatal(err)
+	}
+	flags[0] |= 1 << 1
+	if _, err := f.WriteAt(flags[:], 8); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	resetPrepared(t, dir, d)
+	_, err = d.Load()
+	if err == nil {
+		t.Fatal("container with an unknown flag loaded")
+	}
+	if want := "hyve-prep -dataset ZR -out " + path; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error does not name %q: %v", want, err)
 	}
 }

@@ -24,7 +24,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 				g.Weights[i] = float32(i%7) + 0.5
 			}
 		}
-		data := validV2(t, g, V2Options{})
+		data := validV2(t, g, 0)
 		c, err := ReadV2(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Log(err)

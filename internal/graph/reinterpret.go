@@ -50,10 +50,6 @@ func EdgesFromBytes(b []byte) ([]Edge, bool) { return reinterpret[Edge](b) }
 // contract as EdgesFromBytes).
 func Float32sFromBytes(b []byte) ([]float32, bool) { return reinterpret[float32](b) }
 
-// Uint64sFromBytes views b as a []uint64 without copying (same contract
-// as EdgesFromBytes).
-func Uint64sFromBytes(b []byte) ([]uint64, bool) { return reinterpret[uint64](b) }
-
 // Int64sFromBytes views b as a []int64 without copying (same contract
 // as EdgesFromBytes).
 func Int64sFromBytes(b []byte) ([]int64, bool) { return reinterpret[int64](b) }

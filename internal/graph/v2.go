@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 )
 
 // Container format "hyve/graph/v2": the page-aligned, section-table
@@ -28,7 +27,7 @@ import (
 //
 //	off  0  u32  magic 'H','y','V','2'
 //	off  4  u32  version (2)
-//	off  8  u32  flags: bit0 weighted, bit1 CSR present, bit2 grid present
+//	off  8  u32  flags: bit0 weighted, bit2 grid present (bit1 retired)
 //	off 12  u32  sectionCount
 //	off 16  u64  nVerts
 //	off 24  u64  nEdges
@@ -36,13 +35,13 @@ import (
 //	off 40  u32  gridP        (0 unless grid present)
 //	off 44  u32  gridKind     (0 hashed, 1 contiguous)
 //	off 48  [32] contentDigest (graph.ContentDigest of the stored graph)
-//	off 80  u64  csrBlockVerts
+//	off 80  u64  reserved (0)
 //	off 88  u64  seed          (generator provenance, 0 = unknown)
 //
 // Section table entry:
 //
 //	off  0  u32  kind   (four ASCII bytes, below)
-//	off  4  u32  enc    (0 raw, 1 zigzag-delta varint)
+//	off  4  u32  enc    (0: raw, the only encoding)
 //	off  8  u64  offset (4096-aligned file offset)
 //	off 16  u64  bytes
 //	off 24  u64  count  (element count: edges, weights, offsets, …)
@@ -52,26 +51,21 @@ import (
 //
 //	EDGS  raw    nEdges × {src u32, dst u32}, exact edge-list order
 //	WGTS  raw    nEdges × f32 (iff weighted)
-//	OFFS  raw    (nVerts+1) × u64 CSR offsets
-//	TIDX  raw    (nCSRBlocks+1) × u64 byte offsets into TGTS
-//	TGTS  varint nEdges CSR targets, zigzag-delta per source block
 //	GOFF  raw    (gridP²+1) × u64 grid block offsets
 //	GEDG  raw    nEdges × {src u32, dst u32} in grid block-major order
 //	GWGT  raw    nEdges × f32 grid-ordered weights (iff weighted grid)
 //
 // The table lives at the end so sections stream out in one pass; the
-// header is patched on Close. TGTS is the only encoded section: CSR
-// destination arrays compress well under per-source-block zigzag-delta
-// varints (sorted-ish, small gaps), and the decoder is a per-block
-// cursor (CompressedCSR) — nothing on the load path inflates it.
+// header is patched on Close. Flag bit 1 is retired (it marked
+// compressed CSR sections): a file with it set is refused as carrying
+// an unknown flag, never half-read.
 const (
 	v2Magic   = 0x32565948 // "HyV2" little-endian
 	v2Version = 2
 
 	v2FlagWeighted = 1 << 0
-	v2FlagCSR      = 1 << 1
 	v2FlagGrid     = 1 << 2
-	v2KnownFlags   = v2FlagWeighted | v2FlagCSR | v2FlagGrid
+	v2KnownFlags   = v2FlagWeighted | v2FlagGrid
 
 	// V2Align is the section alignment: one page, so every raw section
 	// can be reinterpreted in place from a page-aligned mmap.
@@ -89,32 +83,17 @@ const (
 const (
 	SecEdges   uint32 = 0x53474445 // "EDGS"
 	SecWeights uint32 = 0x53544757 // "WGTS"
-	SecCSROff  uint32 = 0x5346464F // "OFFS"
-	SecCSRIdx  uint32 = 0x58444954 // "TIDX"
-	SecCSRTgt  uint32 = 0x53544754 // "TGTS"
 	SecGridOff uint32 = 0x46464F47 // "GOFF"
 	SecGridEdg uint32 = 0x47444547 // "GEDG"
 	SecGridWgt uint32 = 0x54475747 // "GWGT"
 )
-
-// Section encodings.
-const (
-	EncRaw    uint32 = 0
-	EncVarint uint32 = 1
-)
-
-// DefaultCSRBlockVerts is the source-vertex width of one compressed CSR
-// block: wide enough that varint deltas amortize (a block directory
-// entry per 4096 vertices is noise), narrow enough that decoding a
-// single vertex's neighbors from a cold block stays cheap.
-const DefaultCSRBlockVerts = 4096
 
 func secName(kind uint32) string {
 	return string([]byte{byte(kind), byte(kind >> 8), byte(kind >> 16), byte(kind >> 24)})
 }
 
 type v2Section struct {
-	kind, enc uint32
+	kind      uint32
 	off, size uint64
 	count     uint64
 }
@@ -130,17 +109,16 @@ type V2Writer struct {
 	off uint64
 	err error
 
-	secs       []v2Section
-	open       bool
-	nVerts     uint64
-	nEdges     uint64
-	flags      uint32
-	gridP      uint32
-	gridKind   uint32
-	digest     [32]byte
-	blockVerts uint64
-	seed       uint64
-	closed     bool
+	secs     []v2Section
+	open     bool
+	nVerts   uint64
+	nEdges   uint64
+	flags    uint32
+	gridP    uint32
+	gridKind uint32
+	digest   [32]byte
+	seed     uint64
+	closed   bool
 }
 
 // NewV2Writer starts a container for a graph with the given shape. The
@@ -167,9 +145,6 @@ func (w *V2Writer) SetDigest(d [32]byte) { w.digest = d }
 
 // SetSeed records generator provenance (0 = unknown/none).
 func (w *V2Writer) SetSeed(seed uint64) { w.seed = seed }
-
-// SetCSRBlockVerts records the CSR block width used by TGTS/TIDX.
-func (w *V2Writer) SetCSRBlockVerts(n int) { w.blockVerts = uint64(n) }
 
 // SetGrid records the grid geometry for GOFF/GEDG/GWGT sections.
 func (w *V2Writer) SetGrid(p int, contiguous bool) {
@@ -200,7 +175,7 @@ func (w *V2Writer) write(p []byte) {
 // BeginSection starts a new section of the given kind at the next
 // page-aligned offset. Sections cannot nest, and each kind may appear
 // at most once.
-func (w *V2Writer) BeginSection(kind, enc uint32) error {
+func (w *V2Writer) BeginSection(kind uint32) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -218,7 +193,7 @@ func (w *V2Writer) BeginSection(kind, enc uint32) error {
 	if rem := w.off % V2Align; rem != 0 {
 		w.pad(V2Align - rem)
 	}
-	w.secs = append(w.secs, v2Section{kind: kind, enc: enc, off: w.off})
+	w.secs = append(w.secs, v2Section{kind: kind, off: w.off})
 	w.open = true
 	return w.err
 }
@@ -251,8 +226,6 @@ func (w *V2Writer) EndSection(count uint64) error {
 	switch s.kind {
 	case SecWeights:
 		w.flags |= v2FlagWeighted
-	case SecCSROff:
-		w.flags |= v2FlagCSR
 	case SecGridOff:
 		w.flags |= v2FlagGrid
 	}
@@ -279,7 +252,7 @@ func (w *V2Writer) Close() error {
 	var e [v2EntrySize]byte
 	for _, s := range w.secs {
 		binary.LittleEndian.PutUint32(e[0:], s.kind)
-		binary.LittleEndian.PutUint32(e[4:], s.enc)
+		binary.LittleEndian.PutUint32(e[4:], 0)
 		binary.LittleEndian.PutUint64(e[8:], s.off)
 		binary.LittleEndian.PutUint64(e[16:], s.size)
 		binary.LittleEndian.PutUint64(e[24:], s.count)
@@ -306,7 +279,6 @@ func (w *V2Writer) Close() error {
 	binary.LittleEndian.PutUint32(h[40:], w.gridP)
 	binary.LittleEndian.PutUint32(h[44:], w.gridKind)
 	copy(h[48:80], w.digest[:])
-	binary.LittleEndian.PutUint64(h[80:], w.blockVerts)
 	binary.LittleEndian.PutUint64(h[88:], w.seed)
 	if _, w.err = w.ws.Write(h[:]); w.err != nil {
 		return w.err
@@ -314,42 +286,31 @@ func (w *V2Writer) Close() error {
 	return nil
 }
 
-// V2Options configures WriteV2/WriteV2Into.
-type V2Options struct {
-	// CSR writes the compressed CSR sections (OFFS/TIDX/TGTS).
-	CSR bool
-	// CSRBlockVerts overrides DefaultCSRBlockVerts (0 = default).
-	CSRBlockVerts int
-	// Seed records generator provenance in the header (0 = unknown).
-	Seed uint64
-}
-
 // WriteV2 serializes g as a complete v2 container (no grid sections).
-func WriteV2(ws io.WriteSeeker, g *Graph, opt V2Options) error {
+// seed records generator provenance in the header (0 = unknown).
+func WriteV2(ws io.WriteSeeker, g *Graph, seed uint64) error {
 	w, err := NewV2Writer(ws, g.NumVertices, len(g.Edges))
 	if err != nil {
 		return err
 	}
-	if err := WriteV2Into(w, g, opt); err != nil {
+	if err := WriteV2Into(w, g, seed); err != nil {
 		return err
 	}
 	return w.Close()
 }
 
-// WriteV2Into writes g's edge, weight, and (optionally) CSR sections
-// into an open writer, leaving it open so the caller can append grid
-// sections (partition.StreamGridInto) before Close.
-func WriteV2Into(w *V2Writer, g *Graph, opt V2Options) error {
+// WriteV2Into writes g's edge and weight sections into an open writer,
+// leaving it open so the caller can append grid sections
+// (partition.StreamGridInto) before Close. seed is as for WriteV2.
+func WriteV2Into(w *V2Writer, g *Graph, seed uint64) error {
 	if uint64(g.NumVertices) != w.nVerts || uint64(len(g.Edges)) != w.nEdges {
 		return fmt.Errorf("graph: v2 writer sized for |V|=%d |E|=%d, graph has %d/%d",
 			w.nVerts, w.nEdges, g.NumVertices, len(g.Edges))
 	}
 	w.SetDigest(ContentDigest(g))
-	if opt.Seed != 0 {
-		w.SetSeed(opt.Seed)
-	}
+	w.SetSeed(seed)
 
-	if err := w.BeginSection(SecEdges, EncRaw); err != nil {
+	if err := w.BeginSection(SecEdges); err != nil {
 		return err
 	}
 	buf := make([]byte, 0, 1<<16)
@@ -371,7 +332,7 @@ func WriteV2Into(w *V2Writer, g *Graph, opt V2Options) error {
 	}
 
 	if g.Weights != nil {
-		if err := w.BeginSection(SecWeights, EncRaw); err != nil {
+		if err := w.BeginSection(SecWeights); err != nil {
 			return err
 		}
 		buf = buf[:0]
@@ -391,117 +352,5 @@ func WriteV2Into(w *V2Writer, g *Graph, opt V2Options) error {
 			return err
 		}
 	}
-
-	if opt.CSR {
-		if err := writeCSRSections(w, g, opt.CSRBlockVerts); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// writeCSRSections emits OFFS, TIDX, and TGTS. TGTS is produced in two
-// passes — a size pass to place the TIDX block directory, then the
-// actual encode — so the compressed stream never has to sit in memory
-// whole.
-func writeCSRSections(w *V2Writer, g *Graph, blockVerts int) error {
-	if blockVerts <= 0 {
-		blockVerts = DefaultCSRBlockVerts
-	}
-	w.SetCSRBlockVerts(blockVerts)
-	csr := BuildCSR(g)
-	nv := g.NumVertices
-
-	if err := w.BeginSection(SecCSROff, EncRaw); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 1<<16)
-	for _, o := range csr.Offsets {
-		buf = binary.LittleEndian.AppendUint64(buf, o)
-		if len(buf) >= 1<<16-8 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	if err := w.EndSection(uint64(len(csr.Offsets))); err != nil {
-		return err
-	}
-
-	nBlocks := (nv + blockVerts - 1) / blockVerts
-	// Pass 1: compressed size per block.
-	tidx := make([]uint64, nBlocks+1)
-	for b := 0; b < nBlocks; b++ {
-		lo := csr.Offsets[b*blockVerts]
-		hi := csr.Offsets[min((b+1)*blockVerts, nv)]
-		var prev int64
-		var sz uint64
-		for _, t := range csr.Targets[lo:hi] {
-			d := int64(t) - prev
-			prev = int64(t)
-			sz += uint64(uvarintLen(zigzag(d)))
-		}
-		tidx[b+1] = tidx[b] + sz
-	}
-
-	if err := w.BeginSection(SecCSRIdx, EncRaw); err != nil {
-		return err
-	}
-	buf = buf[:0]
-	for _, o := range tidx {
-		buf = binary.LittleEndian.AppendUint64(buf, o)
-		if len(buf) >= 1<<16-8 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	if err := w.EndSection(uint64(len(tidx))); err != nil {
-		return err
-	}
-
-	// Pass 2: the encode itself.
-	if err := w.BeginSection(SecCSRTgt, EncVarint); err != nil {
-		return err
-	}
-	buf = buf[:0]
-	for b := 0; b < nBlocks; b++ {
-		lo := csr.Offsets[b*blockVerts]
-		hi := csr.Offsets[min((b+1)*blockVerts, nv)]
-		var prev int64
-		for _, t := range csr.Targets[lo:hi] {
-			d := int64(t) - prev
-			prev = int64(t)
-			buf = binary.AppendUvarint(buf, zigzag(d))
-			if len(buf) >= 1<<16-binary.MaxVarintLen64 {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	return w.EndSection(uint64(len(csr.Targets)))
-}
-
-// zigzag maps a signed delta to an unsigned varint-friendly value.
-func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// uvarintLen is the encoded size of u without encoding it.
-func uvarintLen(u uint64) int {
-	return (bits.Len64(u|1) + 6) / 7
 }

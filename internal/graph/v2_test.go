@@ -2,21 +2,20 @@ package graph
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // writeV2Temp writes g into a fresh temp container and returns its path.
-func writeV2Temp(t *testing.T, g *Graph, opt V2Options) string {
+func writeV2Temp(t *testing.T, g *Graph, seed uint64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.hyve2")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(f, g, opt); err != nil {
+	if err := WriteV2(f, g, seed); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -74,108 +73,42 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 
 func TestV2RoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, csr := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/csr=%v", name, csr), func(t *testing.T) {
-				path := writeV2Temp(t, g, V2Options{CSR: csr, Seed: 99})
+		t.Run(name, func(t *testing.T) {
+			path := writeV2Temp(t, g, 99)
 
-				open := map[string]func() (*Container, error){
-					"open": func() (*Container, error) { return OpenV2(path) },
-					"read": func() (*Container, error) {
-						f, err := os.Open(path)
-						if err != nil {
-							return nil, err
-						}
-						t.Cleanup(func() { f.Close() })
-						st, err := f.Stat()
-						if err != nil {
-							return nil, err
-						}
-						return ReadV2(f, st.Size())
-					},
-				}
-				for mode, fn := range open {
-					c, err := fn()
+			open := map[string]func() (*Container, error){
+				"open": func() (*Container, error) { return OpenV2(path) },
+				"read": func() (*Container, error) {
+					f, err := os.Open(path)
 					if err != nil {
-						t.Fatalf("%s: %v", mode, err)
+						return nil, err
 					}
-					graphsEqual(t, c.Graph(), g)
-					if got, want := c.Digest(), ContentDigest(g); got != want {
-						t.Errorf("%s: digest %x, want %x", mode, got, want)
+					t.Cleanup(func() { f.Close() })
+					st, err := f.Stat()
+					if err != nil {
+						return nil, err
 					}
-					if c.Seed() != 99 {
-						t.Errorf("%s: seed %d, want 99", mode, c.Seed())
-					}
-					if csr {
-						if c.CSR() == nil {
-							t.Fatalf("%s: no CSR view", mode)
-						}
-						checkCSRMatches(t, c.CSR(), g)
-					} else if c.CSR() != nil {
-						t.Errorf("%s: unexpected CSR view", mode)
-					}
-					if err := c.Close(); err != nil {
-						t.Errorf("%s: close: %v", mode, err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func checkCSRMatches(t *testing.T, cc *CompressedCSR, g *Graph) {
-	t.Helper()
-	want := BuildCSR(g)
-	if cc.NumVertices() != g.NumVertices || cc.NumEdges() != len(g.Edges) {
-		t.Fatalf("CSR dims %d/%d, want %d/%d", cc.NumVertices(), cc.NumEdges(), g.NumVertices, len(g.Edges))
-	}
-	got := cc.Materialize()
-	if len(got.Offsets) != len(want.Offsets) {
-		t.Fatalf("offsets len %d, want %d", len(got.Offsets), len(want.Offsets))
-	}
-	for v := range want.Offsets {
-		if got.Offsets[v] != want.Offsets[v] {
-			t.Fatalf("offset %d = %d, want %d", v, got.Offsets[v], want.Offsets[v])
-		}
-	}
-	for i := range want.Targets {
-		if got.Targets[i] != want.Targets[i] {
-			t.Fatalf("target %d = %d, want %d", i, got.Targets[i], want.Targets[i])
-		}
-	}
-	// Random access through a fresh seeker, including backward seeks.
-	var s NeighborSeeker
-	s.Init(cc)
-	for _, v := range []int{g.NumVertices - 1, 0, g.NumVertices / 2, 1 % g.NumVertices} {
-		gotN := s.Append(VertexID(v), nil)
-		wantN := want.Neighbors(VertexID(v))
-		if len(gotN) != len(wantN) {
-			t.Fatalf("v%d: %d neighbors, want %d", v, len(gotN), len(wantN))
-		}
-		for i := range wantN {
-			if gotN[i] != wantN[i] {
-				t.Fatalf("v%d neighbor %d = %d, want %d", v, i, gotN[i], wantN[i])
+					return ReadV2(f, st.Size())
+				},
 			}
-		}
+			for mode, fn := range open {
+				c, err := fn()
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				graphsEqual(t, c.Graph(), g)
+				if got, want := c.Digest(), ContentDigest(g); got != want {
+					t.Errorf("%s: digest %x, want %x", mode, got, want)
+				}
+				if c.Seed() != 99 {
+					t.Errorf("%s: seed %d, want 99", mode, c.Seed())
+				}
+				if err := c.Close(); err != nil {
+					t.Errorf("%s: close: %v", mode, err)
+				}
+			}
+		})
 	}
-}
-
-// TestV2SmallBlockVerts forces many partial blocks to cover block-edge
-// arithmetic (last block short, empty vertices at block boundaries).
-func TestV2SmallBlockVerts(t *testing.T) {
-	g, err := GenerateRMAT(1000, 4000, RMATParams{A: 0.6, B: 0.15, C: 0.15, D: 0.1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeV2Temp(t, g, V2Options{CSR: true, CSRBlockVerts: 7})
-	c, err := OpenV2(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.CSR().BlockVerts() != 7 {
-		t.Fatalf("block width %d, want 7", c.CSR().BlockVerts())
-	}
-	checkCSRMatches(t, c.CSR(), g)
 }
 
 // TestV2ZeroCopy pins the tentpole property on mmap-capable hosts: the
@@ -183,7 +116,7 @@ func TestV2SmallBlockVerts(t *testing.T) {
 // per edge.
 func TestV2ZeroCopy(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	path := writeV2Temp(t, g, V2Options{CSR: true})
+	path := writeV2Temp(t, g, 0)
 	c, err := OpenV2(path)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +142,7 @@ func TestV2ZeroCopy(t *testing.T) {
 
 func TestV2StreamReaderMatchesMmap(t *testing.T) {
 	g := testGraphs(t)["weighted"]
-	path := writeV2Temp(t, g, V2Options{CSR: true, Seed: 5})
+	path := writeV2Temp(t, g, 5)
 	a, err := OpenV2(path)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +169,7 @@ func TestV2StreamReaderMatchesMmap(t *testing.T) {
 
 func TestV2DigestMismatchIsDetectable(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	path := writeV2Temp(t, g, V2Options{})
+	path := writeV2Temp(t, g, 0)
 	c, err := OpenV2(path)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +192,7 @@ func TestV2LoadAllocs(t *testing.T) {
 		t.Skip("decode-copy host")
 	}
 	g := testGraphs(t)["rmat"]
-	path := writeV2Temp(t, g, V2Options{CSR: true})
+	path := writeV2Temp(t, g, 0)
 	probe, err := OpenV2(path)
 	if err != nil {
 		t.Fatal(err)
@@ -299,13 +232,13 @@ func TestWriteV2IntoGridSectionsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.BeginSection(SecEdges, EncRaw); err != nil {
+	if err := w.BeginSection(SecEdges); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EndSection(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.BeginSection(SecEdges, EncRaw); err == nil {
+	if err := w.BeginSection(SecEdges); err == nil {
 		t.Fatalf("duplicate section accepted")
 	}
 }

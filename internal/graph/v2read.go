@@ -11,20 +11,19 @@ import (
 
 // v2Header is the decoded fixed header.
 type v2Header struct {
-	flags      uint32
-	nSecs      uint32
-	nVerts     uint64
-	nEdges     uint64
-	tableOff   uint64
-	gridP      uint32
-	gridKind   uint32
-	digest     [32]byte
-	blockVerts uint64
-	seed       uint64
+	flags    uint32
+	nSecs    uint32
+	nVerts   uint64
+	nEdges   uint64
+	tableOff uint64
+	gridP    uint32
+	gridKind uint32
+	digest   [32]byte
+	seed     uint64
 }
 
-// Container is an opened v2 file: the graph (and optional compressed
-// CSR and pre-partitioned grid) views over either a read-only mmap
+// Container is an opened v2 file: the graph (and optional
+// pre-partitioned grid) views over either a read-only mmap
 // (zero-copy) or decoded heap copies (the streaming fallback). Close
 // releases the mapping; every slice handed out becomes invalid after
 // Close on the zero-copy path, so containers backing long-lived graphs
@@ -35,7 +34,6 @@ type Container struct {
 	unmap func() error
 
 	g    *Graph
-	csr  *CompressedCSR
 	grid *preparedGrid
 }
 
@@ -43,10 +41,6 @@ type Container struct {
 // sections the graph has them attached, so partition.BuildParallel with
 // a matching assigner returns the stored layout without building.
 func (c *Container) Graph() *Graph { return c.g }
-
-// CSR returns the compressed adjacency view, or nil if the container
-// has no CSR sections.
-func (c *Container) CSR() *CompressedCSR { return c.csr }
 
 // Digest returns the header's content digest (graph.ContentDigest of
 // the stored graph, verified at write time, re-verifiable with
@@ -117,7 +111,9 @@ func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
 	h.gridP = binary.LittleEndian.Uint32(b[40:])
 	h.gridKind = binary.LittleEndian.Uint32(b[44:])
 	copy(h.digest[:], b[48:80])
-	h.blockVerts = binary.LittleEndian.Uint64(b[80:])
+	if r := binary.LittleEndian.Uint64(b[80:]); r != 0 {
+		return h, fmt.Errorf("graph: v2: reserved header word is %#x, want 0", r)
+	}
 	h.seed = binary.LittleEndian.Uint64(b[88:])
 
 	if h.nVerts > v2MaxReasonable || h.nEdges > v2MaxReasonable {
@@ -130,9 +126,6 @@ func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
 		h.tableOff+uint64(h.nSecs)*v2EntrySize > fileSize {
 		return h, fmt.Errorf("graph: v2: section table [%d,+%d×%d) outside file of %d bytes",
 			h.tableOff, h.nSecs, v2EntrySize, fileSize)
-	}
-	if h.flags&v2FlagCSR != 0 && (h.blockVerts == 0 || h.blockVerts > v2MaxReasonable) {
-		return h, fmt.Errorf("graph: v2: implausible CSR block width %d", h.blockVerts)
 	}
 	if h.flags&v2FlagGrid != 0 {
 		if h.gridP == 0 || uint64(h.gridP)*uint64(h.gridP) > v2MaxReasonable {
@@ -147,11 +140,11 @@ func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
 	return h, nil
 }
 
-// v2ElemSize maps raw section kinds to their element width; 0 means the
-// section is byte-addressed (varint streams).
+// v2ElemSize maps section kinds to their element width; 0 for a kind
+// the format does not define (the flag cross-check rejects it).
 func v2ElemSize(kind uint32) uint64 {
 	switch kind {
-	case SecEdges, SecGridEdg, SecCSROff, SecCSRIdx, SecGridOff:
+	case SecEdges, SecGridEdg, SecGridOff:
 		return 8
 	case SecWeights, SecGridWgt:
 		return 4
@@ -171,7 +164,6 @@ func parseV2Table(tb []byte, h v2Header, fileSize uint64) (map[uint32]v2Section,
 		e := tb[i*v2EntrySize:]
 		s := v2Section{
 			kind:  binary.LittleEndian.Uint32(e[0:]),
-			enc:   binary.LittleEndian.Uint32(e[4:]),
 			off:   binary.LittleEndian.Uint64(e[8:]),
 			size:  binary.LittleEndian.Uint64(e[16:]),
 			count: binary.LittleEndian.Uint64(e[24:]),
@@ -187,12 +179,8 @@ func parseV2Table(tb []byte, h v2Header, fileSize uint64) (map[uint32]v2Section,
 			return nil, fmt.Errorf("graph: v2: section %s [%d,+%d) outside file of %d bytes",
 				name, s.off, s.size, fileSize)
 		}
-		wantEnc := EncRaw
-		if s.kind == SecCSRTgt {
-			wantEnc = EncVarint
-		}
-		if s.enc != wantEnc {
-			return nil, fmt.Errorf("graph: v2: section %s has encoding %d, want %d", name, s.enc, wantEnc)
+		if enc := binary.LittleEndian.Uint32(e[4:]); enc != 0 {
+			return nil, fmt.Errorf("graph: v2: section %s has encoding %d, want 0 (raw)", name, enc)
 		}
 		if es := v2ElemSize(s.kind); es != 0 && s.count*es != s.size {
 			return nil, fmt.Errorf("graph: v2: section %s declares %d elements in %d bytes", name, s.count, s.size)
@@ -216,12 +204,6 @@ func parseV2Table(tb []byte, h v2Header, fileSize uint64) (map[uint32]v2Section,
 	want := map[uint32]uint64{SecEdges: h.nEdges}
 	if h.flags&v2FlagWeighted != 0 {
 		want[SecWeights] = h.nEdges
-	}
-	if h.flags&v2FlagCSR != 0 {
-		nBlocks := (h.nVerts + h.blockVerts - 1) / h.blockVerts
-		want[SecCSROff] = h.nVerts + 1
-		want[SecCSRIdx] = nBlocks + 1
-		want[SecCSRTgt] = h.nEdges
 	}
 	if h.flags&v2FlagGrid != 0 {
 		want[SecGridOff] = uint64(h.gridP)*uint64(h.gridP) + 1
@@ -255,8 +237,8 @@ type sectionBytes func(s v2Section) ([]byte, error)
 // zeroCopy, raw sections are reinterpreted in place when alignment and
 // byte order allow; otherwise (and always on the streaming path) they
 // are decoded into exact-size heap slices. All semantic validation —
-// edge ranges, offset monotonicity, varint stream integrity, weight
-// finiteness — runs here, once, regardless of path.
+// edge ranges, grid offset monotonicity, weight finiteness — runs here,
+// once, regardless of path.
 func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zeroCopy bool) (*Container, error) {
 	c := &Container{hdr: h, zero: zeroCopy}
 
@@ -292,51 +274,6 @@ func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zer
 		return nil, err
 	}
 	c.g = g
-
-	if h.flags&v2FlagCSR != 0 {
-		offB, err := get(secs[SecCSROff])
-		if err != nil {
-			return nil, err
-		}
-		tidxB, err := get(secs[SecCSRIdx])
-		if err != nil {
-			return nil, err
-		}
-		tgts, err := get(secs[SecCSRTgt])
-		if err != nil {
-			return nil, err
-		}
-		offsets, ok := Uint64sFromBytes(offB)
-		if !ok || !zeroCopy {
-			offsets = decodeUint64s(offB)
-			c.zero = false
-		}
-		tidx, ok := Uint64sFromBytes(tidxB)
-		if !ok || !zeroCopy {
-			tidx = decodeUint64s(tidxB)
-			c.zero = false
-		}
-		if err := checkMonotone("OFFS", offsets, h.nEdges); err != nil {
-			return nil, err
-		}
-		if err := checkMonotone("TIDX", tidx, uint64(len(tgts))); err != nil {
-			return nil, err
-		}
-		if last := tidx[len(tidx)-1]; last != uint64(len(tgts)) {
-			return nil, fmt.Errorf("graph: v2: TIDX covers %d of %d TGTS bytes", last, len(tgts))
-		}
-		csr := &CompressedCSR{
-			numVerts:   int(h.nVerts),
-			blockVerts: int(h.blockVerts),
-			offsets:    offsets,
-			tidx:       tidx,
-			tgts:       tgts,
-		}
-		if err := csr.Validate(); err != nil {
-			return nil, err
-		}
-		c.csr = csr
-	}
 
 	if h.flags&v2FlagGrid != 0 {
 		goffB, err := get(secs[SecGridOff])
@@ -401,24 +338,6 @@ func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zer
 	return c, nil
 }
 
-func checkMonotone(name string, xs []uint64, cap uint64) error {
-	if len(xs) == 0 || xs[0] != 0 {
-		return fmt.Errorf("graph: v2: %s must start at 0", name)
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return fmt.Errorf("graph: v2: %s not monotone at %d", name, i)
-		}
-	}
-	if xs[len(xs)-1] > cap {
-		return fmt.Errorf("graph: v2: %s ends at %d, beyond %d", name, xs[len(xs)-1], cap)
-	}
-	if name == "OFFS" && xs[len(xs)-1] != cap {
-		return fmt.Errorf("graph: v2: %s ends at %d, want exactly %d", name, xs[len(xs)-1], cap)
-	}
-	return nil
-}
-
 func decodeEdges(b []byte) []Edge {
 	out := make([]Edge, len(b)/8)
 	for i := range out {
@@ -434,14 +353,6 @@ func decodeFloat32s(b []byte) []float32 {
 	out := make([]float32, len(b)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func decodeUint64s(b []byte) []uint64 {
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
 	}
 	return out
 }

@@ -43,18 +43,6 @@ type Config struct {
 	RRAM rram.Config
 	// BlockDim is the vertex width of a block (8 in GraphR).
 	BlockDim int
-	// Recorder, when non-nil, receives the run's metrics (phase times,
-	// per-component energy, block counts); nil falls back to the
-	// process-global obs.Default().
-	Recorder obs.Recorder
-}
-
-// recorder resolves the run's metrics sink.
-func (c Config) recorder() obs.Recorder {
-	if c.Recorder != nil {
-		return c.Recorder
-	}
-	return obs.Default()
 }
 
 // Default returns the published GraphR configuration.
@@ -222,7 +210,7 @@ func Simulate(cfg Config, w core.Workload) (*Result, error) {
 		Iterations:     iters,
 	}
 
-	rec := cfg.recorder()
+	rec := obs.Default()
 	rec.Count("graphr.runs", 1)
 	rec.Count("graphr.blocks.nonempty", d.NonEmptyBlocks)
 	rec.Count("graphr.edges.processed", edgesProcessed)

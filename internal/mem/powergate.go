@@ -54,7 +54,8 @@ func (p PowerGateParams) Validate() error {
 
 // GatedBanks models the background energy of a banked non-volatile
 // region under the BPG scheme. The simulator reports phases; the model
-// integrates leakage only over awake windows.
+// integrates leakage only over awake windows and reports each phase's
+// outcome (transitions, awake bank-time, gated energy) to obs.Default().
 type GatedBanks struct {
 	Params PowerGateParams
 	// BankLeak is the background power of one awake bank.
@@ -66,13 +67,7 @@ type GatedBanks struct {
 	Ungated units.Power
 
 	stats GateStats
-	rec   obs.Recorder
 }
-
-// SetRecorder routes the gate's per-phase outcomes (transitions, awake
-// bank-time, gated energy) into r as they accrue. Nil restores the
-// no-op.
-func (g *GatedBanks) SetRecorder(r obs.Recorder) { g.rec = obs.OrNop(r) }
 
 // GateStats accumulates what the gating did.
 type GateStats struct {
@@ -129,7 +124,7 @@ func NewGatedBanks(p PowerGateParams, bankLeak units.Power, totalBanks int, unga
 	if bankLeak < 0 || ungated < 0 {
 		return nil, fmt.Errorf("mem: negative leakage")
 	}
-	return &GatedBanks{Params: p, BankLeak: bankLeak, TotalBanks: totalBanks, Ungated: ungated, rec: obs.Nop{}}, nil
+	return &GatedBanks{Params: p, BankLeak: bankLeak, TotalBanks: totalBanks, Ungated: ungated}, nil
 }
 
 // Streaming accounts a phase of duration d in which the sequential edge
@@ -170,7 +165,7 @@ func (g *GatedBanks) Streaming(d units.Time, banksTouched int) (units.Energy, un
 	g.stats.UngatedEnergy += g.ungatedOver(d)
 	g.stats.TransitionSpend += trans
 	g.stats.LatencyPenalty += penalty
-	rec := obs.OrNop(g.rec)
+	rec := obs.Default()
 	rec.Count("mem.gate.transitions", int64(banksTouched))
 	rec.PhaseTime("mem.gate.awake-bank", awakeBankTime)
 	rec.PhaseEnergy("mem.gate.gated", gated)
@@ -187,7 +182,7 @@ func (g *GatedBanks) Idle(d units.Time) units.Energy {
 	g.stats.TotalTime += d
 	g.stats.GatedEnergy += gated
 	g.stats.UngatedEnergy += g.ungatedOver(d)
-	rec := obs.OrNop(g.rec)
+	rec := obs.Default()
 	rec.PhaseTime("mem.gate.idle", d)
 	rec.PhaseEnergy("mem.gate.gated", gated)
 	return gated

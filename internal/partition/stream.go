@@ -365,7 +365,7 @@ func StreamGridInto(w *graph.V2Writer, g *graph.Graph, a Assigner, opt StreamOpt
 	// GEDG is written first: the stream yields edges immediately but
 	// final offsets only at the end. Readers locate sections through the
 	// table, so file order is free.
-	if err := w.BeginSection(graph.SecGridEdg, graph.EncRaw); err != nil {
+	if err := w.BeginSection(graph.SecGridEdg); err != nil {
 		return err
 	}
 	var err error
@@ -377,7 +377,7 @@ func StreamGridInto(w *graph.V2Writer, g *graph.Graph, a Assigner, opt StreamOpt
 		return err
 	}
 
-	if err := w.BeginSection(graph.SecGridOff, graph.EncRaw); err != nil {
+	if err := w.BeginSection(graph.SecGridOff); err != nil {
 		return err
 	}
 	var ob []byte
@@ -398,7 +398,7 @@ func StreamGridInto(w *graph.V2Writer, g *graph.Graph, a Assigner, opt StreamOpt
 		if _, err := wspool.Seek(0, io.SeekStart); err != nil {
 			return err
 		}
-		if err := w.BeginSection(graph.SecGridWgt, graph.EncRaw); err != nil {
+		if err := w.BeginSection(graph.SecGridWgt); err != nil {
 			return err
 		}
 		if _, err := io.Copy(w, bufio.NewReaderSize(wspool, 1<<20)); err != nil {

@@ -89,7 +89,7 @@ func TestStreamGridIntoContainer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := graph.WriteV2Into(w, g, graph.V2Options{}); err != nil {
+		if err := graph.WriteV2Into(w, g, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := StreamGridInto(w, g, a, StreamOptions{BudgetBytes: 1, TmpDir: t.TempDir()}); err != nil {

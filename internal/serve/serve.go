@@ -78,8 +78,9 @@ func RegisterMetrics(rec obs.Recorder) {
 // execution slots.
 type Config struct {
 	// Sched is the scheduler every execution is submitted through. Nil
-	// builds a private in-memory one; hand in cache.New(cache.Config{
-	// Dir: ...}) to persist results across restarts.
+	// means no cache: every point executes. Hand in
+	// cache.New(cache.Config{Dir: ...}) to reuse results, and to persist
+	// them across restarts when Dir is set.
 	Sched *cache.Scheduler
 	// Workers bounds concurrent simulation executions across ALL
 	// requests (0 = GOMAXPROCS) — the service's backpressure: requests
@@ -138,9 +139,6 @@ type Server struct {
 // New builds a Server from cfg, filling zero fields with the defaults
 // documented on Config.
 func New(cfg Config) *Server {
-	if cfg.Sched == nil {
-		cfg.Sched = cache.New(cache.Config{})
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}

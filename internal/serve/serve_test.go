@@ -110,7 +110,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // test: the /point response body must be byte-for-byte the canonical
 // document of a direct core.Simulate of the same point.
 func TestServedPointMatchesDirectSimulate(t *testing.T) {
-	srv := New(Config{Rate: 1e6, Burst: 1 << 20}) // real execution path, in-memory cache
+	// Real execution path, in-memory cache.
+	srv := New(Config{Sched: cache.New(cache.Config{}), Rate: 1e6, Burst: 1 << 20})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -166,6 +167,30 @@ func TestServedPointMatchesDirectSimulate(t *testing.T) {
 	}
 	if st := srv.sched.Stats(); st.MemHits == 0 {
 		t.Errorf("repeat point did not hit the cache: %+v", st)
+	}
+}
+
+// TestNilSchedMeansNoCache pins the one meaning of a nil scheduler: the
+// zero Config serves every point by executing it, with no cache built
+// behind the caller's back, and a repeat still answers identical bytes.
+func TestNilSchedMeansNoCache(t *testing.T) {
+	srv := New(Config{Rate: 1e6, Burst: 1 << 20})
+	if srv.sched != nil {
+		t.Fatal("New(Config{}) built a scheduler; nil must mean no cache")
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	req := PointRequest{Dataset: "YT", Algo: "PR", Config: "sd"}
+	resp := postJSON(t, ts.URL+"/point", req)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
+	}
+	resp2 := postJSON(t, ts.URL+"/point", req)
+	body2 := readAll(t, resp2)
+	if resp2.StatusCode != http.StatusOK || !bytes.Equal(body, body2) {
+		t.Errorf("repeated point: status %d, bytes differ: %v", resp2.StatusCode, !bytes.Equal(body, body2))
 	}
 }
 
