@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,43 +72,93 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 	}
 }
 
+// TestV2RoundTrip reads every test graph back through both readers. The
+// container holds no CSR; with csr=true the subtest also builds the
+// in-memory CSR the reference algorithms use over the opened container's
+// edges, which alias the file when it is mapped, and checks it against
+// the CSR of the source graph before the container is closed.
 func TestV2RoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			path := writeV2Temp(t, g, 99)
+		for _, csr := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/csr=%v", name, csr), func(t *testing.T) {
+				path := writeV2Temp(t, g, 99)
 
-			open := map[string]func() (*Container, error){
-				"open": func() (*Container, error) { return OpenV2(path) },
-				"read": func() (*Container, error) {
-					f, err := os.Open(path)
+				open := map[string]func() (*Container, error){
+					"open": func() (*Container, error) { return OpenV2(path) },
+					"read": func() (*Container, error) {
+						f, err := os.Open(path)
+						if err != nil {
+							return nil, err
+						}
+						t.Cleanup(func() { f.Close() })
+						st, err := f.Stat()
+						if err != nil {
+							return nil, err
+						}
+						return ReadV2(f, st.Size())
+					},
+				}
+				for mode, fn := range open {
+					c, err := fn()
 					if err != nil {
-						return nil, err
+						t.Fatalf("%s: %v", mode, err)
 					}
-					t.Cleanup(func() { f.Close() })
-					st, err := f.Stat()
-					if err != nil {
-						return nil, err
+					graphsEqual(t, c.Graph(), g)
+					if got, want := c.Digest(), ContentDigest(g); got != want {
+						t.Errorf("%s: digest %x, want %x", mode, got, want)
 					}
-					return ReadV2(f, st.Size())
-				},
+					if c.Seed() != 99 {
+						t.Errorf("%s: seed %d, want 99", mode, c.Seed())
+					}
+					if csr {
+						checkCSRMatches(t, BuildCSR(c.Graph()), g)
+					}
+					if err := c.Close(); err != nil {
+						t.Errorf("%s: close: %v", mode, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+func checkCSRMatches(t *testing.T, got *CSR, g *Graph) {
+	t.Helper()
+	want := BuildCSR(g)
+	if len(got.Offsets) != len(want.Offsets) {
+		t.Fatalf("offsets len %d, want %d", len(got.Offsets), len(want.Offsets))
+	}
+	for v := range want.Offsets {
+		if got.Offsets[v] != want.Offsets[v] {
+			t.Fatalf("offset %d = %d, want %d", v, got.Offsets[v], want.Offsets[v])
+		}
+	}
+	if len(got.Targets) != len(want.Targets) {
+		t.Fatalf("targets len %d, want %d", len(got.Targets), len(want.Targets))
+	}
+	for i := range want.Targets {
+		if got.Targets[i] != want.Targets[i] {
+			t.Fatalf("target %d = %d, want %d", i, got.Targets[i], want.Targets[i])
+		}
+	}
+	if (got.Weights == nil) != (want.Weights == nil) {
+		t.Fatalf("CSR weighted = %v, want %v", got.Weights != nil, want.Weights != nil)
+	}
+	for i := range want.Weights {
+		if got.Weights[i] != want.Weights[i] {
+			t.Fatalf("CSR weight %d = %v, want %v", i, got.Weights[i], want.Weights[i])
+		}
+	}
+	for _, v := range []int{g.NumVertices - 1, 0, g.NumVertices / 2, 1 % g.NumVertices} {
+		gotN, wantN := got.Neighbors(VertexID(v)), want.Neighbors(VertexID(v))
+		if len(gotN) != len(wantN) {
+			t.Fatalf("v%d: %d neighbors, want %d", v, len(gotN), len(wantN))
+		}
+		for i := range wantN {
+			if gotN[i] != wantN[i] {
+				t.Fatalf("v%d neighbor %d = %d, want %d", v, i, gotN[i], wantN[i])
 			}
-			for mode, fn := range open {
-				c, err := fn()
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				graphsEqual(t, c.Graph(), g)
-				if got, want := c.Digest(), ContentDigest(g); got != want {
-					t.Errorf("%s: digest %x, want %x", mode, got, want)
-				}
-				if c.Seed() != 99 {
-					t.Errorf("%s: seed %d, want 99", mode, c.Seed())
-				}
-				if err := c.Close(); err != nil {
-					t.Errorf("%s: close: %v", mode, err)
-				}
-			}
-		})
+		}
 	}
 }
 
