@@ -1,8 +1,8 @@
 package repro
 
 // Micro-benchmarks for the load-bearing substrate operations
-// (generation, container load, partitioning, simulation, dynamic
-// updates). End-to-end numbers — every paper experiment, sweeps, the
+// (generation, container load, partitioning, simulation, GraphR's
+// crossbar emulation, dynamic updates). End-to-end numbers — every paper experiment, sweeps, the
 // service — come from the repository benchmark under bench/.
 //
 // Run everything with:
@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
+	"repro/internal/graphr"
 	"repro/internal/partition"
 )
 
@@ -186,6 +187,24 @@ func BenchmarkSimulateHyVEOptPR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPageRankCrossbar runs PageRank through GraphR's bit-sliced
+// crossbar emulation at 16 bits with 4-bit cells, the ablation-precision
+// path.
+func BenchmarkPageRankCrossbar(b *testing.B) {
+	g := benchGraph(b)
+	q, err := graphr.NewQuantizer(16, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := graphr.PageRankCrossbar(g, q, 0.85, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumEdges()), "edges/op")
 }
 
 func BenchmarkDynamicReplayHyVE(b *testing.B) {

@@ -25,6 +25,7 @@ import (
 	"hash"
 	"math"
 
+	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -33,7 +34,7 @@ import (
 // whenever the field set or encoding below changes, so digests from an
 // older layout can never collide with new ones; core.SimSchema (also
 // folded in) covers semantic changes to the simulator.
-const DigestSchema = "hyve/point/v1"
+const DigestSchema = "hyve/point/v2"
 
 // Digest is the canonical content address of one simulation point.
 type Digest [sha256.Size]byte
@@ -120,7 +121,8 @@ func GraphDigest(g *graph.Graph) Digest { return Digest(graph.ContentDigest(g)) 
 // every Config and Workload field that can influence result bytes,
 // serialized in a fixed order under DigestSchema and core.SimSchema.
 // Config.Parallelism is excluded — results are bit-identical at every
-// parallelism by contract.
+// parallelism by contract. The program is identified by its type and
+// parameters, so only the five algo programs can be digested.
 func PointDigest(cfg core.Config, w core.Workload) (Digest, error) {
 	if w.Graph == nil {
 		return Digest{}, fmt.Errorf("cache: workload has no graph")
@@ -216,9 +218,38 @@ func PointDigest(cfg core.Config, w core.Workload) (Digest, error) {
 	h.I64("wl.full_v", w.FullVertices)
 	h.I64("wl.full_e", w.FullEdges)
 	h.Str("wl.program", w.Program.Name())
+	if err := hashProgram(h, w.Program); err != nil {
+		return Digest{}, err
+	}
 	h.I64("wl.iters", int64(w.Iterations))
 	h.F64("wl.activity", w.ActivityFactor)
 	h.F64("wl.update", w.UpdateFactor)
 
 	return h.Sum(), nil
+}
+
+// hashProgram folds every parameter of p that can change a run; a
+// program type it does not know is refused, since its parameters could
+// not be told apart.
+func hashProgram(h *Hasher, p algo.Program) error {
+	switch p := p.(type) {
+	case *algo.PageRank:
+		h.F64("pr.damping", p.Damping)
+		h.I64("pr.iters", int64(p.Iterations))
+		h.F64("pr.epsilon", p.Epsilon)
+		h.Bool("pr.warm", p.Warm != nil)
+		h.U64("pr.warm.len", uint64(len(p.Warm)))
+		for _, v := range p.Warm {
+			h.F64("pr.warm.v", v)
+		}
+	case *algo.BFS:
+		h.U64("bfs.root", uint64(p.Root))
+	case *algo.SSSP:
+		h.U64("sssp.root", uint64(p.Root))
+	case *algo.CC, *algo.SpMV:
+		// No parameters.
+	default:
+		return fmt.Errorf("cache: cannot digest program type %T", p)
+	}
+	return nil
 }

@@ -128,6 +128,38 @@ func TestPointDigestRejectsIncompletePoints(t *testing.T) {
 	if _, err := PointDigest(cfg, noProg); err == nil {
 		t.Error("nil program digested")
 	}
+	// A program type the digest does not know could hide parameters
+	// behind a shared name.
+	foreign := w
+	foreign.Program = struct{ *algo.PageRank }{algo.NewPageRank()}
+	if _, err := PointDigest(cfg, foreign); err == nil {
+		t.Error("unknown program type digested")
+	}
+}
+
+// TestPointDigestProgramParameters: programs that share a name but not
+// their parameters must not share a digest.
+func TestPointDigestProgramParameters(t *testing.T) {
+	cfg, w := testPoint(t)
+	warm := make([]float64, w.Graph.NumVertices)
+	for v := range warm {
+		warm[v] = float64(1+v%7) / float64(4*len(warm))
+	}
+	for _, pair := range []struct {
+		name string
+		a, b algo.Program
+	}{
+		{"PR vs PR to 1e-6", algo.NewPageRank(), algo.NewPageRankConverge(1e-6)},
+		{"BFS root 0 vs 7", algo.NewBFS(0), algo.NewBFS(7)},
+		{"SSSP root 0 vs 3", algo.NewSSSP(0), algo.NewSSSP(3)},
+		{"PR cold vs warm", algo.NewPageRank(), algo.NewPageRank().WithWarmStart(warm)},
+	} {
+		a, b := w, w
+		a.Program, b.Program = pair.a, pair.b
+		if mustDigest(t, cfg, a) == mustDigest(t, cfg, b) {
+			t.Errorf("%s: digests equal", pair.name)
+		}
+	}
 }
 
 // TestGraphDigestContentAddressed: equal structure → equal digest across
@@ -227,6 +259,12 @@ func TestDigestCoversEveryField(t *testing.T) {
 		{dram.IDD{}, 6},
 		{mem.PowerGateParams{}, 5},
 		{fault.Config{}, 9},
+		// The programs hashProgram folds, parameter by parameter.
+		{algo.PageRank{}, 4},
+		{algo.BFS{}, 1},
+		{algo.CC{}, 0},
+		{algo.SSSP{}, 1},
+		{algo.SpMV{}, 0},
 	}
 	for _, p := range pins {
 		typ := reflect.TypeOf(p.v)

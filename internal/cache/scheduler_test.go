@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/core"
 )
 
@@ -45,6 +47,42 @@ func TestSchedulerMemoryAndDiskHits(t *testing.T) {
 	}
 	if st := s2.Stats(); st.MemHits != 1 {
 		t.Errorf("promotion stats: %+v", st)
+	}
+}
+
+// TestSchedulerSeparatesProgramParameters submits two PageRanks that
+// differ only in their stopping rule through one scheduler; each must
+// get its own result, not the first one's cache entry.
+func TestSchedulerSeparatesProgramParameters(t *testing.T) {
+	cfg, w := testPoint(t)
+	s := New(Config{})
+	var direct [][]byte
+	for _, p := range []*algo.PageRank{algo.NewPageRank(), algo.NewPageRankConverge(1e-6)} {
+		w.Program = p
+		want, err := core.Simulate(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := EncodeResult(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Simulate(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := EncodeResult(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("PR (iterations %d, epsilon %g): scheduler result differs from a direct core.Simulate",
+				p.Iterations, p.Epsilon)
+		}
+		direct = append(direct, wantBytes)
+	}
+	if bytes.Equal(direct[0], direct[1]) {
+		t.Fatal("the two programs produce equal results; the test cannot tell them apart")
 	}
 }
 

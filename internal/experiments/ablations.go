@@ -286,14 +286,13 @@ func runAblationPrecision(w io.Writer, opt Options) error {
 	iters := 10
 	datasets := opt.datasets()
 	if opt.Quick {
-		// The crossbar emulation is the most compute-heavy runner; one
-		// dataset and a shorter run keep the quick suite fast.
+		// One dataset and a shorter run: the quick table the golden
+		// hashes pin.
 		datasets = datasets[:1]
 		iters = 5
 	}
-	// One point per (dataset, width): the crossbar emulation is the
-	// heaviest compute in the suite, so the sweep benefits most from
-	// fanning every cell out rather than only rows.
+	// One point per (dataset, width): every table cell is an independent
+	// emulation run, so the cells fan out rather than only the rows.
 	rows := make([][]string, len(datasets)*len(widths))
 	err := opt.forEach(len(rows), func(i int) error {
 		d, bits := datasets[i/len(widths)], widths[i%len(widths)]

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/device/crossbar"
+	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/units"
 )
@@ -28,7 +29,9 @@ func relEq(a, b, tol float64) bool {
 // geometry, against the functional bit-sliced crossbar emulation: block
 // occupancy must match a fresh scan, the compute-time decomposition must
 // reproduce from the crossbar design point, the total-time identity must
-// hold, and the quantized crossbar ranks must track the float64 oracle.
+// hold, the quantized crossbar ranks must track the float64 oracle, and
+// the emulation's sparse column sums must equal CrossbarMVM on every
+// non-empty block.
 func CheckModelVsEmulation(cfg Config, w core.Workload) error {
 	r, err := Simulate(cfg, w)
 	if err != nil {
@@ -114,6 +117,55 @@ func CheckModelVsEmulation(cfg Config, w core.Workload) error {
 		}
 		if sum <= 0 || sum > 1.5 {
 			return fmt.Errorf("graphr: crossbar rank mass %v outside (0, 1.5]", sum)
+		}
+		if err := checkColumnsVsMVM(w.Graph, q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkColumnsVsMVM holds the emulation's sparse evaluation against the
+// dense reference: every non-empty block of g, rebuilt as a dense 8×8
+// code matrix, must give CrossbarMVM's column sums for the first
+// iteration's quantized ranks.
+func checkColumnsVsMVM(g *graph.Graph, q *Quantizer) error {
+	wq, err := NewQuantizer(q.ValueBits, q.CellBits, 1)
+	if err != nil {
+		return err
+	}
+	xg := programCrossbar(g, wq)
+	codes := make([]uint32, g.NumVertices)
+	if _, _, err := quantizeRanks(uniformRanks(g.NumVertices), q, codes); err != nil {
+		return err
+	}
+	cells := make([][]uint32, blockDim)
+	for i := range cells {
+		cells[i] = make([]uint32, blockDim)
+	}
+	in := make([]uint32, blockDim)
+	for b := 0; b < xg.blocks(); b++ {
+		blk := xg.cells[xg.start[b]:xg.start[b+1]]
+		for i := range cells {
+			clear(cells[i])
+		}
+		for _, c := range blk {
+			cells[c.src%blockDim][c.dst%blockDim] = c.code
+		}
+		first := int(blk[0].src &^ (blockDim - 1))
+		for i := range in {
+			in[i] = 0
+			if v := first + i; v < g.NumVertices {
+				in[i] = codes[v]
+			}
+		}
+		want := q.CrossbarMVM(cells, in)
+		col, _ := xg.columns(b, codes)
+		for j, got := range col {
+			if got != want[j] {
+				return fmt.Errorf("graphr: block (%d, %d) column %d: flat sum %d, CrossbarMVM %d",
+					blk[0].src/blockDim, blk[0].dst/blockDim, j, got, want[j])
+			}
 		}
 	}
 	return nil

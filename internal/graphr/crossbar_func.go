@@ -3,7 +3,8 @@ package graphr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -32,8 +33,8 @@ func NewQuantizer(valueBits, cellBits int, scale float64) (*Quantizer, error) {
 	if valueBits <= 0 || valueBits > 30 || cellBits <= 0 || valueBits%cellBits != 0 {
 		return nil, fmt.Errorf("graphr: bad quantizer geometry %d/%d", valueBits, cellBits)
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("graphr: non-positive scale %v", scale)
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("graphr: scale %v is not finite and positive", scale)
 	}
 	return &Quantizer{ValueBits: valueBits, CellBits: cellBits, Scale: scale}, nil
 }
@@ -107,9 +108,110 @@ func (q *Quantizer) CrossbarMVM(cells [][]uint32, in []uint32) []uint64 {
 	return out
 }
 
+// blockDim is GraphR's crossbar size: every block is an 8×8 crossbar.
+const blockDim = 8
+
+// xbarCell is one programmed crossbar cell: the weight code of edge
+// src→dst, with parallel edges merged.
+type xbarCell struct{ src, dst, code uint32 }
+
+// crossbarGraph is a graph programmed into 8×8 crossbar blocks, kept as
+// its non-empty cells only: a natural-graph block holds 1.45–1.74 edges
+// (Table 1, Navg), so a dense block is nearly all zero cells. Cells are
+// sorted by (bx, by, i, j) — source block, destination block, row,
+// column — and block b owns cells[start[b]:start[b+1]].
+type crossbarGraph struct {
+	cells []xbarCell
+	start []int
+}
+
+// cellKey packs (bx, by, i, j) into one integer whose order is the
+// cell order: bx and by are below 2²⁹ because vertex ids are uint32.
+func cellKey(src, dst uint32) uint64 {
+	return uint64(src/blockDim)<<35 | uint64(dst/blockDim)<<6 | uint64(src%blockDim)<<3 | uint64(dst%blockDim)
+}
+
+// programCrossbar programs g's 1/outdeg weights through wq — what GraphR
+// writes into a crossbar per block. Parallel edges add their codes,
+// saturating at full scale; saturating addition of non-negative codes
+// does not depend on order, so one sort of the per-edge keys suffices.
+func programCrossbar(g *graph.Graph, wq *Quantizer) *crossbarGraph {
+	keys := make([]uint64, len(g.Edges))
+	for k, e := range g.Edges {
+		keys[k] = cellKey(e.Src, e.Dst)
+	}
+	slices.Sort(keys)
+	outDeg := g.OutDegrees()
+	full := wq.Levels() - 1
+	xg := &crossbarGraph{cells: make([]xbarCell, 0, len(keys))}
+	for k, key := range keys {
+		src := uint32(key>>35)*blockDim + uint32((key>>3)%blockDim)
+		dst := uint32((key>>6)%(1<<29))*blockDim + uint32(key%blockDim)
+		w := wq.Quantize(1 / float64(outDeg[src]))
+		if k > 0 && key == keys[k-1] {
+			c := &xg.cells[len(xg.cells)-1]
+			c.code = min(c.code+w, full)
+			continue
+		}
+		if k == 0 || key>>6 != keys[k-1]>>6 {
+			xg.start = append(xg.start, len(xg.cells))
+		}
+		xg.cells = append(xg.cells, xbarCell{src, dst, w})
+	}
+	xg.start = append(xg.start, len(xg.cells))
+	return xg
+}
+
+// blocks returns the number of non-empty blocks.
+func (xg *crossbarGraph) blocks() int { return len(xg.start) - 1 }
+
+// columns returns block b's column sums Σᵢ in[bx·8+i]·cell[i][j] over
+// its non-empty cells, indexed by j, and the mask of columns that hold
+// a cell. Each sum is exactly the integer CrossbarMVM's shift-add
+// produces (bit slices recombine losslessly), and it cannot overflow:
+// codes and inputs are below 2³⁰, so eight products stay below 2⁶³.
+func (xg *crossbarGraph) columns(b int, in []uint32) (col [blockDim]uint64, used uint8) {
+	for _, c := range xg.cells[xg.start[b]:xg.start[b+1]] {
+		col[c.dst%blockDim] += uint64(in[c.src]) * uint64(c.code)
+		used |= 1 << (c.dst % blockDim)
+	}
+	return col, used
+}
+
+// quantizeRanks writes every rank's code into codes, under a quantizer
+// of q's geometry scaled to the current maximum rank (GraphR's DAC
+// reference voltage), and returns that quantizer and the maximum.
+func quantizeRanks(rank []float64, q *Quantizer, codes []uint32) (*Quantizer, float64, error) {
+	maxRank := 0.0
+	for _, r := range rank {
+		if r > maxRank {
+			maxRank = r
+		}
+	}
+	rq, err := NewQuantizer(q.ValueBits, q.CellBits, maxRank)
+	if err != nil {
+		return nil, 0, err
+	}
+	for v, r := range rank {
+		codes[v] = rq.Quantize(r)
+	}
+	return rq, maxRank, nil
+}
+
+// uniformRanks returns PageRank's starting ranks.
+func uniformRanks(n int) []float64 {
+	rank := make([]float64, n)
+	for v := range rank {
+		rank[v] = 1 / float64(n)
+	}
+	return rank
+}
+
 // PageRankCrossbar runs PageRank for `iters` iterations with all edge
 // propagation performed through quantized 8×8 crossbar MVMs, and returns
 // the ranks plus the maximum relative error against the float64 oracle.
+// Only non-empty cells are evaluated; the result is bit-identical to
+// running CrossbarMVM on every dense block.
 func PageRankCrossbar(g *graph.Graph, q *Quantizer, damping float64, iters int) ([]float64, float64, error) {
 	if g.NumVertices == 0 {
 		return nil, 0, graph.ErrEmptyGraph
@@ -117,69 +219,20 @@ func PageRankCrossbar(g *graph.Graph, q *Quantizer, damping float64, iters int) 
 	if iters <= 0 || damping <= 0 || damping >= 1 {
 		return nil, 0, fmt.Errorf("graphr: bad PageRank parameters (iters=%d, damping=%v)", iters, damping)
 	}
-	const dim = 8
 	n := g.NumVertices
-	outDeg := g.OutDegrees()
-
-	// Block directory: sparse 8×8 blocks holding 1/outdeg weights — what
-	// GraphR programs into a crossbar per block.
-	type blockKey struct{ bx, by uint32 }
-	blocks := map[blockKey][][]uint32{}
 	// Weight quantizer: weights are 1/outdeg ∈ (0, 1].
 	wq, err := NewQuantizer(q.ValueBits, q.CellBits, 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, e := range g.Edges {
-		k := blockKey{e.Src / dim, e.Dst / dim}
-		b := blocks[k]
-		if b == nil {
-			b = make([][]uint32, dim)
-			for i := range b {
-				b[i] = make([]uint32, dim)
-			}
-			blocks[k] = b
-		}
-		// Multi-edges accumulate weight codes (saturating at full scale).
-		w := wq.Quantize(1 / float64(outDeg[e.Src]))
-		cell := &b[e.Src%dim][e.Dst%dim]
-		if sum := *cell + w; sum < wq.Levels() {
-			*cell = sum
-		} else {
-			*cell = wq.Levels() - 1
-		}
-	}
+	xg := programCrossbar(g, wq)
 
-	// Iterate blocks in a fixed order: the per-vertex accumulation below
-	// is float64 addition, and letting map order pick the association
-	// perturbs maxRank — which sets the next iteration's quantizer scale
-	// and can flip a code, making runs disagree in the fourth decimal.
-	keys := make([]blockKey, 0, len(blocks))
-	for k := range blocks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bx != keys[j].bx {
-			return keys[i].bx < keys[j].bx
-		}
-		return keys[i].by < keys[j].by
-	})
-
-	rank := make([]float64, n)
-	for v := range rank {
-		rank[v] = 1 / float64(n)
-	}
-	// Rank quantizer scale: ranks stay below ~64/n on natural graphs;
-	// rescale each iteration to the current maximum for full dynamic
-	// range (GraphR's DAC reference voltage).
+	rank := uniformRanks(n)
+	codes := make([]uint32, n)
+	// Ranks stay below ~64/n on natural graphs; rescaling the rank
+	// quantizer every iteration keeps the full dynamic range.
 	for it := 0; it < iters; it++ {
-		maxRank := 0.0
-		for _, r := range rank {
-			if r > maxRank {
-				maxRank = r
-			}
-		}
-		rq, err := NewQuantizer(q.ValueBits, q.CellBits, maxRank)
+		rq, maxRank, err := quantizeRanks(rank, q, codes)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -189,23 +242,20 @@ func PageRankCrossbar(g *graph.Graph, q *Quantizer, damping float64, iters int) 
 			next[v] = base
 		}
 		full := float64(uint64(rq.Levels()-1)) * float64(uint64(wq.Levels()-1))
-		for _, k := range keys {
-			cells := blocks[k]
-			in := make([]uint32, dim)
-			for i := 0; i < dim; i++ {
-				v := int(k.bx)*dim + i
-				if v < n {
-					in[i] = rq.Quantize(rank[v])
-				}
-			}
-			out := q.CrossbarMVM(cells, in)
-			for j := 0; j < dim; j++ {
-				u := int(k.by)*dim + j
-				if u < n && out[j] > 0 {
+		// Blocks run in (bx, by) order: the per-vertex accumulation is
+		// float64 addition, and a different association perturbs
+		// maxRank — which sets the next iteration's quantizer scale and
+		// can flip a code.
+		for b := 0; b < xg.blocks(); b++ {
+			col, used := xg.columns(b, codes)
+			first := xg.cells[xg.start[b]].dst &^ (blockDim - 1)
+			for ; used != 0; used &= used - 1 {
+				j := bits.TrailingZeros8(used)
+				if s := col[j]; s > 0 {
 					// Dequantize the integer dot product: codes multiply,
-					// so the real value is out / (rankFull × weightFull)
+					// so the real value is s / (rankFull × weightFull)
 					// × rankScale × weightScale.
-					next[u] += damping * float64(out[j]) / full * maxRank
+					next[int(first)+j] += damping * float64(s) / full * maxRank
 				}
 			}
 		}
@@ -232,10 +282,7 @@ func PageRankCrossbar(g *graph.Graph, q *Quantizer, damping float64, iters int) 
 func exactPageRank(g *graph.Graph, damping float64, iters int) ([]float64, error) {
 	n := g.NumVertices
 	outDeg := g.OutDegrees()
-	rank := make([]float64, n)
-	for v := range rank {
-		rank[v] = 1 / float64(n)
-	}
+	rank := uniformRanks(n)
 	for it := 0; it < iters; it++ {
 		next := make([]float64, n)
 		base := (1 - damping) / float64(n)
