@@ -1,15 +1,18 @@
 package repro
 
 // Micro-benchmarks for the load-bearing substrate operations
-// (generation, container load, partitioning, simulation, GraphR's
-// crossbar emulation, dynamic updates). End-to-end numbers — every paper experiment, sweeps, the
-// service — come from the repository benchmark under bench/.
+// (generation, container load, partitioning and the count-only pass the
+// cost model prices from, BenchmarkBlockOffsets, simulation, GraphR's
+// crossbar emulation, dynamic updates). End-to-end numbers — every
+// paper experiment, sweeps, the service — come from the repository
+// benchmark under bench/.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem -run '^$' .
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -165,6 +168,27 @@ func BenchmarkPartitionBuild(b *testing.B) {
 	b.ReportMetric(float64(g.NumEdges()), "edges/op")
 }
 
+// BenchmarkBlockOffsets is the count-only pass core.NewMachine prices
+// from: BuildParallel's histogram pass with no scatter and no per-edge
+// id array. P = 32 takes the power-of-two mask path, P = 24 the modulo.
+func BenchmarkBlockOffsets(b *testing.B) {
+	g := benchGraph(b)
+	for _, p := range []int{32, 24} {
+		asg, err := partition.NewHashed(g.NumVertices, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := partition.BlockOffsets(g, asg, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(g.NumEdges()), "edges/op")
+		})
+	}
+}
+
 func BenchmarkEdgeCentricIteration(b *testing.B) {
 	g := benchGraph(b)
 	s, err := algo.NewState(algo.NewPageRank(), g)
@@ -178,6 +202,9 @@ func BenchmarkEdgeCentricIteration(b *testing.B) {
 	b.ReportMetric(float64(g.NumEdges()), "edges/op")
 }
 
+// BenchmarkSimulateHyVEOptPR assembles a machine and runs the cost
+// model. After the first iteration it prices from the block offsets
+// memoized on the graph, so it times the cost walk, not the count pass.
 func BenchmarkSimulateHyVEOptPR(b *testing.B) {
 	g := benchGraph(b)
 	w := core.Workload{DatasetName: "bench", Graph: g, Program: algo.NewPageRank(), Iterations: 10}

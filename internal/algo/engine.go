@@ -35,6 +35,11 @@ type State struct {
 	// kernel is the program's monomorphized edge loop (kernel.go), or
 	// nil to stream through the generic interface-dispatched path.
 	kernel EdgeKernel
+	// msg, for PageRank, holds each vertex's message
+	// Values[v]/OutDeg[v], computed once per iteration by
+	// BeginIteration instead of once per edge; the kernel scatters from
+	// it in place of Values.
+	msg []float64
 }
 
 // NewState initializes program state on g.
@@ -58,6 +63,9 @@ func NewState(p Program, g *graph.Graph) (*State, error) {
 	if kp, ok := p.(KernelProgram); ok {
 		s.kernel = kp.EdgeKernel()
 	}
+	if _, ok := p.(*PageRank); ok {
+		s.msg = make([]float64, g.NumVertices)
+	}
 	return s, nil
 }
 
@@ -70,10 +78,20 @@ func (s *State) SetKernel(k EdgeKernel) { s.kernel = k }
 // kernel.
 func (s *State) Kernelized() bool { return s.kernel != nil }
 
-// BeginIteration seeds the accumulators.
+// BeginIteration seeds the accumulators and, for PageRank on the kernel
+// path, the per-vertex messages. Values are read-only until
+// EndIteration, so each message is the quotient every out-edge would
+// otherwise compute itself, bit for bit.
 func (s *State) BeginIteration() {
 	for v := range s.Accum {
 		s.Accum[v] = s.Prog.AccumIdentity(s.Values[v])
+	}
+	if s.kernel != nil && s.msg != nil {
+		for v, d := range s.OutDeg {
+			if d != 0 {
+				s.msg[v] = s.Values[v] / float64(d)
+			}
+		}
 	}
 }
 
@@ -111,7 +129,11 @@ func (s *State) ProcessEdges(edges []graph.Edge, weights []float32) {
 // one concurrent invocation (values are only read).
 func (s *State) ProcessEdgesInto(ks *KernelStats, edges []graph.Edge, weights []float32) {
 	if s.kernel != nil {
-		ks.Add(s.kernel(s.Values, s.Accum, s.OutDeg, edges, weights))
+		src := s.Values
+		if s.msg != nil {
+			src = s.msg
+		}
+		ks.Add(s.kernel(src, s.Accum, s.OutDeg, edges, weights))
 		return
 	}
 	ks.Edges += int64(len(edges))

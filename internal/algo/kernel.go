@@ -41,12 +41,14 @@ func (ks *KernelStats) Add(o KernelStats) {
 }
 
 // EdgeKernel streams one contiguous slice of edges: for each edge,
-// scatter from values[e.Src] (outDeg[e.Src] and weights[i] as the
-// program requires; nil weights mean weight 1) and gather into
-// accum[e.Dst]. The kernel owns no state — all three slices belong to
-// the caller — and must preserve the generic path's exact float
-// semantics: same operations, same rounding, same update test.
-type EdgeKernel func(values, accum []float64, outDeg []uint32, edges []graph.Edge, weights []float32) KernelStats
+// scatter from src[e.Src] (outDeg[e.Src] and weights[i] as the program
+// requires; nil weights mean weight 1) and gather into accum[e.Dst].
+// src is the vertex values, except for PageRank, whose State passes the
+// per-vertex messages it computes once per iteration. The kernel owns
+// no state — all the slices belong to the caller — and must preserve
+// the generic path's exact float semantics: same operations, same
+// rounding, same update test.
+type EdgeKernel func(src, accum []float64, outDeg []uint32, edges []graph.Edge, weights []float32) KernelStats
 
 // KernelProgram is implemented by programs that provide a specialized
 // edge kernel. NewState picks the kernel up automatically; the generic
@@ -57,8 +59,9 @@ type KernelProgram interface {
 	EdgeKernel() EdgeKernel
 }
 
-// EdgeKernel implements KernelProgram: sum-gather of src/outdeg.
-func (p *PageRank) EdgeKernel() EdgeKernel { return rankSpreadKernel }
+// EdgeKernel implements KernelProgram: sum-gather of the per-source
+// messages src/outdeg.
+func (p *PageRank) EdgeKernel() EdgeKernel { return rankSumKernel }
 
 // EdgeKernel implements KernelProgram: min-gather of src+1.
 func (b *BFS) EdgeKernel() EdgeKernel { return minGatherHopKernel }
@@ -72,21 +75,22 @@ func (s *SSSP) EdgeKernel() EdgeKernel { return minGatherWeightedKernel }
 // EdgeKernel implements KernelProgram: sum-gather of src·w.
 func (m *SpMV) EdgeKernel() EdgeKernel { return sumGatherWeightedKernel }
 
-// rankSpreadKernel is PageRank's inner loop: scatter src/outdeg when the
-// source has out-edges, sum-gather. The update test mirrors the generic
-// path exactly: a gather counts as an update iff the float sum moved the
-// accumulator (adding a denormal-small or zero message may not).
-func rankSpreadKernel(values, accum []float64, outDeg []uint32, edges []graph.Edge, _ []float32) KernelStats {
+// rankSumKernel is PageRank's inner loop: msgs[v] is the rank mass
+// src/outdeg a vertex with out-edges sends along each of them, computed
+// once per iteration by State.BeginIteration. It sum-gathers the
+// messages of sources with out-edges. The update test mirrors the
+// generic path exactly: a gather counts as an update iff the float sum
+// moved the accumulator (adding a denormal-small or zero message may
+// not).
+func rankSumKernel(msgs, accum []float64, outDeg []uint32, edges []graph.Edge, _ []float32) KernelStats {
 	st := KernelStats{Edges: int64(len(edges))}
 	for _, e := range edges {
-		d := outDeg[e.Src]
-		if d == 0 {
+		if outDeg[e.Src] == 0 {
 			continue
 		}
 		st.Active++
-		msg := values[e.Src] / float64(d)
 		acc := accum[e.Dst]
-		next := acc + msg
+		next := acc + msgs[e.Src]
 		if next != acc {
 			st.Updated++
 			accum[e.Dst] = next

@@ -31,12 +31,25 @@ func kernelTestGraphs(t *testing.T) map[string]*graph.Graph {
 
 // Every registered program must stream bit-identically through the
 // specialized kernel, the generic ProcessEdge path, and the
-// owner-computes parallel runner — values and counters.
+// owner-computes parallel runner — values and counters. The two
+// PageRank variants All() leaves out, run to an epsilon and warm
+// started, go through the same kernel and are held to the same oracle.
 func TestKernelVsOracle(t *testing.T) {
 	for name, g := range kernelTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
+			progs := map[string]Program{"PR-converge": NewPageRankConverge(1e-9)}
 			for _, p := range All() {
-				t.Run(p.Name(), func(t *testing.T) {
+				progs[p.Name()] = p
+			}
+			// Warm start from a finished run's ranks over the first half
+			// of the vertices; the rest start uniform.
+			prev, err := Run(NewPageRank(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs["PR-warm"] = NewPageRank().WithWarmStart(prev.Values[:(g.NumVertices+1)/2])
+			for pname, p := range progs {
+				t.Run(pname, func(t *testing.T) {
 					gp := g
 					if p.NeedsWeights() && !gp.Weighted() {
 						gp = gp.Clone()

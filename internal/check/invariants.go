@@ -297,7 +297,8 @@ func checkGateVsReplay(p *Point) error {
 
 // checkPartitionCoverage builds both assigners over the point's graph
 // and verifies each is a true partition whose grid exactly covers the
-// edge set.
+// edge set, and that the count pass the cost model prices from
+// (partition.BlockOffsets) reproduces each grid's block offsets.
 func checkPartitionCoverage(p *Point) error {
 	nv := p.Graph.NumVertices
 	ps := []int{p.Cfg.NumPUs}
@@ -325,6 +326,13 @@ func checkPartitionCoverage(p *Point) error {
 				return err
 			}
 			if err := grid.CheckPartition(p.Graph); err != nil {
+				return err
+			}
+			offsets, err := partition.BlockOffsets(p.Graph, a, 0)
+			if err != nil {
+				return err
+			}
+			if err := grid.CheckOffsets(offsets); err != nil {
 				return err
 			}
 		}

@@ -35,9 +35,9 @@ type Point struct {
 	flatErr    error
 }
 
-// Machine memoizes the assembled simulator of the point: the grid is
-// partitioned once and shared by the cost run and the blocked
-// functional run (which previously each rebuilt it).
+// Machine memoizes the assembled simulator of the point: the cost run
+// and the blocked functional run share its partition, and the grid is
+// built once, by the first edge walk.
 func (p *Point) Machine() (*core.Machine, error) {
 	if p.machine == nil && p.machineErr == nil {
 		p.machine, p.machineErr = core.NewMachine(p.Cfg, p.Workload)
@@ -54,7 +54,7 @@ func (p *Point) Sim() (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Simulate()
+	return m.SimulateTraced(nil)
 }
 
 // Blocked memoizes the blocked (Algorithm 2 schedule) functional run of

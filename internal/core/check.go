@@ -137,19 +137,20 @@ func CheckResult(cfg Config, w Workload, r *Result) error {
 	if !cfg.UseOnChipSRAM {
 		return nil
 	}
-	return checkTrace(cfg, w, s, d, edgeSize)
+	return checkTrace(cfg, s, d, edgeSize)
 }
 
 // checkTrace replays one iteration of the controller trace and
 // reconciles it with the cost model's Detail counters: per-kind byte
 // sums match exactly, every non-empty block is streamed exactly once,
 // and every access stays inside its memory image.
-func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) error {
-	img, edgeOffsets, err := BuildEdgeImageScheduled(s.grid, cfg.NumPUs)
+func checkTrace(cfg Config, s *machine, d *Detail, edgeSize int64) error {
+	grid := s.edgeGrid()
+	img, edgeOffsets, err := BuildEdgeImageScheduled(grid, cfg.NumPUs)
 	if err != nil {
 		return err
 	}
-	vtxOffsets := vertexImageOffsets(s.grid.Assigner, s.valueBytes)
+	vtxOffsets := vertexImageOffsets(s.asg, s.valueBytes)
 
 	var srcB, dstB, wbB, edgeB int64
 	blockReads := make(map[[2]int]int)
@@ -207,7 +208,7 @@ func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) e
 			fail("core: unknown trace access kind %v", a.Kind)
 		}
 	}
-	if err := TraceIteration(cfg, w, visit); err != nil {
+	if err := s.traceIteration(visit); err != nil {
 		return err
 	}
 	if traceErr != nil {
@@ -217,14 +218,14 @@ func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) e
 		return fmt.Errorf("core: trace traffic (src %d, dst %d, wb %d, edge %d) does not reconcile with detail (src %d, dst %d, wb %d, edge %d)",
 			srcB, dstB, wbB, edgeB, d.SrcLoadBytes, d.DstLoadBytes, d.WritebackBytes, d.EdgeBytes)
 	}
-	if len(blockReads) != s.grid.NonEmpty() {
-		return fmt.Errorf("core: trace streamed %d distinct blocks, grid has %d non-empty", len(blockReads), s.grid.NonEmpty())
+	if len(blockReads) != grid.NonEmpty() {
+		return fmt.Errorf("core: trace streamed %d distinct blocks, grid has %d non-empty", len(blockReads), grid.NonEmpty())
 	}
 	for blk, n := range blockReads {
 		if n != 1 {
 			return fmt.Errorf("core: block (%d,%d) streamed %d times in one iteration", blk[0], blk[1], n)
 		}
-		if s.grid.BlockLen(blk[0], blk[1]) == 0 {
+		if grid.BlockLen(blk[0], blk[1]) == 0 {
 			return fmt.Errorf("core: trace streamed empty block (%d,%d)", blk[0], blk[1])
 		}
 	}

@@ -125,7 +125,7 @@ func SimulateSuperBlockDES(cfg Config, w Workload, sbx, sby int) (*SuperBlockTim
 		for p := 0; p < n; p++ {
 			src := sbx*n + (p+step)%n
 			dst := sby*n + p
-			blk := m.grid.BlockLen(src, dst)
+			blk := m.blockLen(src, dst)
 			if blk == 0 {
 				continue
 			}
@@ -189,7 +189,7 @@ func closedFormSuperBlock(cfg Config, w Workload, sbx, sby int) (units.Time, err
 	for step := 0; step < n; step++ {
 		var stepMax units.Time
 		for p := 0; p < n; p++ {
-			blk := m.grid.BlockLen(sbx*n+(p+step)%n, sby*n+p)
+			blk := m.blockLen(sbx*n+(p+step)%n, sby*n+p)
 			if bt := stg.perEdge.Times(float64(blk)); bt > stepMax {
 				stepMax = bt
 			}

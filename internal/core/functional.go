@@ -47,6 +47,7 @@ func (s *machine) runFunctional() (*algo.Result, error) {
 	// Per-PU counter slots, merged after each step's barrier; reused
 	// across steps (each step overwrites every slot it touches).
 	stats := make([]algo.KernelStats, n)
+	grid := s.edgeGrid()
 	for !st.Done() {
 		if st.Iteration > st.MaxIterations() {
 			return nil, errNoConvergence(s.w.Program.Name(), st.Iteration)
@@ -58,7 +59,7 @@ func (s *machine) runFunctional() (*algo.Result, error) {
 					err := parallel.ForEach(workers, n, func(p int) error {
 						var ks algo.KernelStats
 						src, dst := x*n+(p+step)%n, y*n+p
-						st.ProcessEdgesInto(&ks, s.grid.Block(src, dst), s.grid.BlockWeights(src, dst))
+						st.ProcessEdgesInto(&ks, grid.Block(src, dst), grid.BlockWeights(src, dst))
 						stats[p] = ks
 						return nil
 					})
@@ -113,17 +114,19 @@ func FunctionalSummary(g *graph.Graph, p algo.Program) (*algo.Result, error) {
 }
 
 // Machine is one assembled simulator instance for a (Config, Workload)
-// point: the devices, regions, and — most importantly — the partitioned
-// grid are built once and shared by every run of the point. Use it when
-// the same point needs both the functional pre-run and the cost run
-// (the conformance harness, experiment sweeps that cross-check), which
-// previously paid a full grid rebuild for each.
+// point: the devices, the regions and the partition are set up once and
+// shared by every run of the point. The cost run prices from the block
+// lengths alone, which are memoized on the graph's edge array, so
+// assembling a machine copies no edges. The partitioned grid — the
+// edges themselves in block order — is built on the first edge walk
+// (RunFunctional, Grid) and shared from then on. Use a Machine when the
+// same point needs both the blocked functional run and the cost run
+// (the conformance harness).
 //
 // Both runs are memoized: the machine executes each at most once, so
 // accumulating internals (the power-gate statistics) stay single-run
-// exact. A Machine must not be shared across goroutines without
-// external synchronization beyond the memoized getters, which are
-// mutex-guarded and safe.
+// exact. The methods are safe for concurrent use: the runs are
+// mutex-guarded and the grid is built once.
 type Machine struct {
 	s *machine
 
@@ -155,8 +158,8 @@ func NewMachine(cfg Config, w Workload) (*Machine, error) {
 	return &Machine{s: s}, nil
 }
 
-// Grid returns the shared partitioned graph.
-func (m *Machine) Grid() *partition.Grid { return m.s.grid }
+// Grid returns the partitioned graph, building it on first use.
+func (m *Machine) Grid() *partition.Grid { return m.s.edgeGrid() }
 
 // P returns the interval count the machine chose.
 func (m *Machine) P() int { return m.s.p }
@@ -178,16 +181,12 @@ func (m *Machine) RunFunctional() (*algo.Result, error) {
 	return m.funcRes, m.funcErr
 }
 
-// Simulate runs (once; memoized) the cost simulation.
-func (m *Machine) Simulate() (*Result, error) {
-	return m.SimulateTraced(nil)
-}
-
-// SimulateTraced is Simulate with a parent span for the run's
-// per-iteration phase spans (see EmitPhaseSpans): the cache scheduler
-// passes its point span so traces nest run → experiment → point →
-// phase. The parent only matters on the first call — the run is
-// memoized — and a nil parent (or disabled tracing) costs nothing.
+// SimulateTraced runs (once; memoized) the cost simulation. parent,
+// when non-nil, parents the run's per-iteration phase spans (see
+// emitPhaseSpans): the cache scheduler passes its point span so traces
+// nest run → experiment → point → phase. The parent only matters on the
+// first call — the run is memoized — and a nil parent (or disabled
+// tracing) costs nothing.
 func (m *Machine) SimulateTraced(parent *obs.SpanHandle) (*Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -113,7 +113,7 @@ func TestMachineSharesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := m.Simulate()
+	sr, err := m.SimulateTraced(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMachineSharesGrid(t *testing.T) {
 		t.Error("grid rebuilt between runs")
 	}
 	fr2, _ := m.RunFunctional()
-	sr2, _ := m.Simulate()
+	sr2, _ := m.SimulateTraced(nil)
 	if fr2 != fr || sr2 != sr {
 		t.Error("machine runs not memoized")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/device"
@@ -149,12 +150,13 @@ func gridRowHitRate(kind MemKind) float64 {
 //
 // Simulate is safe to call from concurrent goroutines, including on a
 // shared Workload: cfg and w are passed by value, all mutable run state
-// (partitioning, schedule, gate windows, accumulated report) lives in
-// locals created here, and the only data reached through w — the graph
-// and the program — is read-only by contract (graphs are never mutated
-// after generation, programs are stateless; the graph's memos are
-// synchronized and coalesce concurrent runs). The parallel experiment
-// harness and internal/experiments/race_test.go depend on this.
+// (schedule, gate windows, accumulated report) lives in locals created
+// here, and the only data reached through w — the graph and the program
+// — is read-only by contract (graphs are never mutated after
+// generation, programs are stateless; the graph's memos, the block
+// offsets among them, are synchronized and coalesce concurrent runs).
+// The parallel experiment harness and internal/experiments/race_test.go
+// depend on this.
 func Simulate(cfg Config, w Workload) (*Result, error) {
 	m, err := NewMachine(cfg, w)
 	if err != nil {
@@ -176,7 +178,15 @@ type machine struct {
 	pu      *device.CMOSPU
 	gate    *mem.GatedBanks // nil without power gating
 
-	p          int // intervals
+	p   int // intervals
+	asg *partition.Hashed
+	// offsets delimit the P² blocks of the partitioned edge list
+	// (partition.SharedBlockOffsets, shared read-only through the
+	// graph's memo): the cost model prices from these and asg alone.
+	offsets []int64
+	// grid is the partitioned edge list itself, built by edgeGrid on
+	// the first walk over the edges.
+	gridOnce   sync.Once
 	grid       *partition.Grid
 	valueBytes int
 	words      int // 32-bit words per vertex value
@@ -255,11 +265,10 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 		return nil, err
 	}
 
-	asg, err := partition.NewHashed(w.Graph.NumVertices, s.p)
-	if err != nil {
+	if s.asg, err = partition.NewHashed(w.Graph.NumVertices, s.p); err != nil {
 		return nil, err
 	}
-	if s.grid, err = partition.BuildParallel(w.Graph, asg, cfg.Parallelism); err != nil {
+	if s.offsets, err = partition.SharedBlockOffsets(w.Graph, s.asg, cfg.Parallelism); err != nil {
 		return nil, err
 	}
 
@@ -282,10 +291,33 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 	return s, nil
 }
 
+// blockLen returns the number of edges in block (x, y).
+func (s *machine) blockLen(x, y int) int {
+	b := x*s.p + y
+	return int(s.offsets[b+1] - s.offsets[b])
+}
+
+// edgeGrid returns the partitioned edge list, building it on the first
+// call: only the code that walks edges needs it (the blocked functional
+// run, the trace and its edge image), never the cost model. newSim has
+// already refused every input the build refuses, so a failure here is a
+// bug.
+func (s *machine) edgeGrid() *partition.Grid {
+	s.gridOnce.Do(func() {
+		grid, err := partition.BuildParallel(s.w.Graph, s.asg, s.cfg.Parallelism)
+		if err != nil {
+			panic(fmt.Sprintf("core: grid build of an assembled machine failed: %v", err))
+		}
+		s.grid = grid
+	})
+	return s.grid
+}
+
 // ChoosePFor returns the interval count the simulator will partition
 // w's graph into under cfg — the same decision newSim makes, exposed so
 // offline tooling (hyve-prep -grid auto) can pre-partition a container
-// at exactly the P a later simulation will request and hit the prepared
+// at exactly the P a later simulation will request, which spares the
+// edge-walking paths their grid build through BuildParallel's prepared
 // fast path, and so callers that need only P (the analytic models) do
 // not assemble a machine to learn it.
 func ChoosePFor(cfg Config, w Workload) (int, error) {
@@ -398,7 +430,7 @@ func (s *machine) stages() stageCosts {
 
 // intervalBytes returns the vertex-value bytes of interval i.
 func (s *machine) intervalBytes(i int) int64 {
-	return int64(s.grid.Assigner.IntervalLen(i)) * int64(s.valueBytes)
+	return int64(s.asg.IntervalLen(i)) * int64(s.valueBytes)
 }
 
 // transferCost models moving an interval between the off-chip vertex
@@ -659,10 +691,10 @@ func (s *machine) emitPhaseSpans(d *Detail) {
 	}
 }
 
-// iterationCost walks one full pass of Algorithm 2 over the grid and
-// returns its time, dynamic energy, and phase detail. The walk is exact:
-// every block's edge count prices its step, every interval's true length
-// prices its transfers.
+// iterationCost walks one full pass of Algorithm 2 over the P×P blocks
+// and returns its time, dynamic energy, and phase detail. The walk is
+// exact: every block's edge count prices its step, every interval's true
+// length prices its transfers; no edge is read.
 func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 	var bd energy.Breakdown
 	var d Detail
@@ -736,7 +768,7 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 				for p := 0; p < n; p++ {
 					src := x*n + (p+step)%n
 					dst := y*n + p
-					blkLen := s.grid.BlockLen(src, dst)
+					blkLen := s.blockLen(src, dst)
 					if blkLen == 0 {
 						continue
 					}

@@ -127,7 +127,7 @@ func BuildTimeline(cfg Config, w Workload) (*obs.Timeline, error) {
 				for p := 0; p < n; p++ {
 					src := x*n + (p+step)%n
 					dst := y*n + p
-					blkLen := s.grid.BlockLen(src, dst)
+					blkLen := s.blockLen(src, dst)
 					if blkLen == 0 {
 						continue
 					}

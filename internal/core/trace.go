@@ -77,31 +77,34 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 	if err != nil {
 		return err
 	}
+	return s.traceIteration(visit)
+}
+
+// traceIteration is TraceIteration on an assembled machine; it builds
+// the machine's grid for the edge image.
+func (s *machine) traceIteration(visit func(Access)) error {
 	if s.onchip == nil {
-		return fmt.Errorf("core: tracing requires the on-chip hierarchy (config %s has none)", cfg.Name)
+		return fmt.Errorf("core: tracing requires the on-chip hierarchy (config %s has none)", s.cfg.Name)
 	}
 	// The production layout stores blocks in schedule order, so the
 	// traced edge reads form one sequential sweep per iteration.
-	_, edgeOffsets, err := BuildEdgeImageScheduled(s.grid, cfg.NumPUs)
+	_, edgeOffsets, err := BuildEdgeImageScheduled(s.edgeGrid(), s.cfg.NumPUs)
 	if err != nil {
 		return err
 	}
-	vtxOffsets := vertexImageOffsets(s.grid.Assigner, s.valueBytes)
+	vtxOffsets := vertexImageOffsets(s.asg, s.valueBytes)
 
 	n := s.cfg.NumPUs
 	pn := s.p / n
 	edgeSize := int64(graph.EdgeBytes)
-	if w.Program.NeedsWeights() {
+	if s.w.Program.NeedsWeights() {
 		edgeSize += 4
 	}
 
-	intervalBytes := func(i int) int64 {
-		return int64(s.grid.Assigner.IntervalLen(i)) * int64(s.valueBytes)
-	}
 	emitVertex := func(kind AccessKind, interval, pu, sbx, sby, step int) {
 		visit(Access{
 			Kind: kind, Addr: vtxOffsets[interval] + VertexImageHeaderBytes,
-			Bytes: intervalBytes(interval), PU: pu, Interval: interval,
+			Bytes: s.intervalBytes(interval), PU: pu, Interval: interval,
 			SuperBlockX: sbx, SuperBlockY: sby, Step: step,
 		})
 	}
@@ -127,7 +130,7 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 				for p := 0; p < n; p++ {
 					src := x*n + (p+step)%n
 					dst := y*n + p
-					blkLen := s.grid.BlockLen(src, dst)
+					blkLen := s.blockLen(src, dst)
 					if blkLen == 0 {
 						continue
 					}

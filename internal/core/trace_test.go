@@ -96,8 +96,8 @@ func TestTraceAddressesInBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgeImg, _ := BuildEdgeImage(s.grid)
-	vtxOffsets := vertexImageOffsets(s.grid.Assigner, s.valueBytes)
+	edgeImg, _ := BuildEdgeImage(s.edgeGrid())
+	vtxOffsets := vertexImageOffsets(s.asg, s.valueBytes)
 	vtxSize := vtxOffsets[len(vtxOffsets)-1]
 	for _, a := range collectTrace(t, cfg, w) {
 		switch a.Kind {

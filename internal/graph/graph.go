@@ -40,9 +40,9 @@ const EdgeBytes = 8
 // graph (a state, a partition, a degree query, a digest), Edges, Weights
 // and NumVertices must not change. Dynamic-graph workloads
 // (internal/dynamic) snapshot into fresh Graphs instead of mutating one
-// in place. OutDegrees, ContentDigest and Memo rely on this contract to
-// memoize per instance. SortEdges and AttachUniformWeights are
-// generation-time steps: they must never run on a shared graph. A
+// in place. OutDegrees, ContentDigest, Memo and EdgeMemo rely on this
+// contract to memoize per instance. SortEdges and AttachUniformWeights
+// are generation-time steps: they must never run on a shared graph. A
 // weighted sibling (WithUniformWeights) aliases its parent's Edges, so
 // sorting either one would reorder both; Clone first instead.
 type Graph struct {
@@ -56,8 +56,10 @@ type Graph struct {
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
 
-	memoMu sync.Mutex
-	memos  []*memo
+	memos memoTable
+	// edgeMemos is the EdgeMemo table of the edge array, shared with
+	// every graph that aliases Edges; nil until first use.
+	edgeMemos *memoTable
 
 	// prep, when non-nil, is the pre-partitioned grid payload attached by
 	// the v2 container this graph was materialized from (see v2read.go).

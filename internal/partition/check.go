@@ -93,3 +93,17 @@ func (gr *Grid) CheckPartition(g *graph.Graph) error {
 	}
 	return nil
 }
+
+// CheckOffsets verifies that offsets, a count pass's output
+// (BlockOffsets), delimit exactly the grid's blocks.
+func (gr *Grid) CheckOffsets(offsets []int64) error {
+	if len(offsets) != len(gr.offsets) {
+		return fmt.Errorf("partition: %d offsets for a grid of %d blocks", len(offsets), len(gr.offsets)-1)
+	}
+	for b, off := range offsets {
+		if off != gr.offsets[b] {
+			return fmt.Errorf("partition: count pass puts block boundary %d at %d, the grid at %d", b, off, gr.offsets[b])
+		}
+	}
+	return nil
+}

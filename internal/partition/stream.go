@@ -66,16 +66,12 @@ type streamRec struct {
 func streamGrid(g *graph.Graph, a Assigner, opt StreamOptions,
 	emit func(edges []graph.Edge, weights []float32) error) ([]int64, error) {
 
-	if g.NumVertices != a.NumVertices() {
-		return nil, fmt.Errorf("partition: assigner built for %d vertices, graph has %d",
-			a.NumVertices(), g.NumVertices)
+	if err := checkBuildArgs(g, a); err != nil {
+		return nil, err
 	}
 	p := a.P()
 	nb := p * p
 	ne := len(g.Edges)
-	if int64(p)*int64(p) > math.MaxInt32 {
-		return nil, fmt.Errorf("partition: %d intervals produce more blocks than addressable", p)
-	}
 
 	budget := opt.BudgetBytes
 	if budget <= 0 {
@@ -107,7 +103,7 @@ func streamGrid(g *graph.Graph, a Assigner, opt StreamOptions,
 		for b := range runCounts {
 			runCounts[b] = 0
 		}
-		fillBlockIDs(a, g.Edges[lo:hi], ids[:m], 0, m, runCounts)
+		tally(a, g.Edges[lo:hi], ids[:m], runCounts)
 		var cur int64
 		for b := 0; b < nb; b++ {
 			c := runCounts[b]
