@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module vet race bench bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke cluster-smoke check
+.PHONY: all build test bench-module vet race bench bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke check
 
 all: build
 
@@ -125,47 +125,6 @@ prep-smoke:
 		-prep-dir $(PREP_SMOKE_DIR)/prep -artifact-dir $(PREP_SMOKE_DIR)/prepared >/dev/null
 	diff -r -x manifest.json $(PREP_SMOKE_DIR)/generated $(PREP_SMOKE_DIR)/prepared
 	@echo prep-smoke: prepared-load artifacts byte-identical to in-process generation
-
-# cluster-smoke is the distributed sweep's end-to-end gate: hyve-sweepd
-# (remote workers only, no local fallback) leases a 6-point sweep to two
-# real hyve-worker processes, the first of which is SIGKILLed while
-# holding a lease. The sweep must still complete through reclaim and
-# reassignment, the merged artifact must be byte-identical to
-# `hyve-sim -result` over the same sweep, /metrics must lint clean with
-# the hyve_cluster_* families present, and the reclaimed counter must
-# prove the dead worker's lease actually came back.
-CLUSTER_SMOKE_DIR ?= /tmp/hyve-cluster-smoke
-CLUSTER_SMOKE_ADDR ?= 127.0.0.1:9631
-CLUSTER_SMOKE_PPROF ?= 127.0.0.1:6072
-cluster-smoke:
-	rm -rf $(CLUSTER_SMOKE_DIR) && mkdir -p $(CLUSTER_SMOKE_DIR)
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/hyve-sweepd ./cmd/hyve-sweepd
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/hyve-worker ./cmd/hyve-worker
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/hyve-sim ./cmd/hyve-sim
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/hyve-top ./cmd/hyve-top
-	set -e; \
-	$(CLUSTER_SMOKE_DIR)/hyve-sweepd -listen $(CLUSTER_SMOKE_ADDR) -local=false \
-		-dataset YT -algo PR,BFS -config hyve-opt,sd,dram -shard 1 -lease-ttl 2s \
-		-pprof $(CLUSTER_SMOKE_PPROF) -linger 10s -out $(CLUSTER_SMOKE_DIR)/merged.jsonl & \
-	SWEEPD_PID=$$!; \
-	$(CLUSTER_SMOKE_DIR)/hyve-top -lint -wait 30s -url http://$(CLUSTER_SMOKE_PPROF)/metrics \
-		-require hyve_cluster_shards,hyve_cluster_workers_live,hyve_cluster_leases_granted_total,hyve_cluster_leases_reclaimed_total,hyve_cluster_results_merged_total; \
-	$(CLUSTER_SMOKE_DIR)/hyve-worker -connect $(CLUSTER_SMOKE_ADDR) -name victim \
-		-chaos-delay 500ms & \
-	VICTIM_PID=$$!; \
-	for i in $$(seq 1 100); do \
-		curl -fsS http://$(CLUSTER_SMOKE_PPROF)/metrics | grep -q '^hyve_cluster_leases_granted_total [1-9]' && break; \
-		sleep 0.1; \
-	done; \
-	kill -9 $$VICTIM_PID; \
-	$(CLUSTER_SMOKE_DIR)/hyve-worker -connect $(CLUSTER_SMOKE_ADDR) -name steady; \
-	curl -fsS http://$(CLUSTER_SMOKE_PPROF)/metrics | grep -q '^hyve_cluster_leases_reclaimed_total [1-9]' \
-		|| { echo "cluster-smoke: victim's lease never reclaimed"; exit 1; }; \
-	$(CLUSTER_SMOKE_DIR)/hyve-sim -dataset YT -algo PR,BFS -config hyve-opt,sd,dram -result \
-		> $(CLUSTER_SMOKE_DIR)/direct.jsonl; \
-	wait $$SWEEPD_PID; \
-	cmp $(CLUSTER_SMOKE_DIR)/merged.jsonl $(CLUSTER_SMOKE_DIR)/direct.jsonl
-	@echo cluster-smoke: merged artifact byte-identical to hyve-sim after SIGKILL chaos
 
 # fault-smoke drives the resilience layer end to end in bounded time:
 # the reliability experiment (BER sweep, SECDED accounting, bank

@@ -10,10 +10,11 @@
 //	hyve-check -seed 42 -points 1 -v # reproduce one reported point
 //	hyve-check -list                 # invariants and tolerances
 //	hyve-check -pprof :6060          # serve pprof, /metrics, /debug/flight
-//	hyve-check -points 16 -workers 4 # sweep through the cluster machinery
 //
 // Every point draws a fresh graph and assembles its own machine, shared
-// by that point's invariants and by nothing else.
+// by that point's invariants and by nothing else. Points run on one
+// worker per CPU (GOMAXPROCS=1 runs them one at a time); progress lines
+// and the report come out in seed order, the same at any worker count.
 //
 // Exit status is 0 when every invariant held at every point, 1 when a
 // violation was found, 2 on setup failure — or when points hit
@@ -36,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/cluster/jobs"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -59,7 +59,6 @@ func run(args []string, out, errOut io.Writer) int {
 	verbose := fs.Bool("v", false, "print every point, not just failures")
 	list := fs.Bool("list", false, "list invariants and tolerances, then exit")
 	pprof := fs.String("pprof", "", "serve pprof, /metrics, /debug/flight, and /debug/trace on this address (e.g. :6060)")
-	workers := fs.Int("workers", -1, "run the sweep through the cluster machinery with this many in-process workers (requires -points; 0 = coordinator-local degradation path; -1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -88,27 +87,14 @@ func run(args []string, out, errOut io.Writer) int {
 		defer serve.ShutdownServer(srv, 5*time.Second)
 	}
 
-	opt := check.Options{
+	sum, err := check.Run(check.Options{
 		Seed:         *seed,
 		Points:       *points,
 		Duration:     *duration,
 		Verbose:      *verbose,
 		Out:          out,
 		PointTimeout: *pointTimeout,
-	}
-	var sum *check.Summary
-	var err error
-	if *workers >= 0 {
-		// The distributed path needs a dense index space up front, so a
-		// duration-bounded sweep cannot ride it.
-		if *points <= 0 {
-			fmt.Fprintln(errOut, "hyve-check: -workers requires an explicit -points count")
-			return 2
-		}
-		sum, err = jobs.RunCheckCluster(opt, *workers)
-	} else {
-		sum, err = check.Run(opt)
-	}
+	})
 	if err != nil {
 		fmt.Fprintf(errOut, "hyve-check: %v\n", err)
 		return 2

@@ -183,7 +183,7 @@ func runSweep(w, progress io.Writer, sw point.Sweep, verbose bool, mode outputMo
 
 // runOne runs one point. Core configurations run through point.Run
 // with the cache off, so every mode renders from the canonical result
-// document hyve-serve and the sweep cluster produce for the same point.
+// document hyve-serve produces for the same point.
 func runOne(w io.Writer, spec point.Spec, verbose bool, mode outputMode) error {
 	d, err := graph.DatasetByName(spec.Dataset)
 	if err != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/cache"
-	"repro/internal/cluster/jobs"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/point"
@@ -220,10 +218,10 @@ func TestParseSweep(t *testing.T) {
 }
 
 // TestEveryConfigReachesEveryConsumer walks the configuration registry
-// through the three ways a point name arrives — hyve-sim's flags,
-// hyve-serve's /point and the cluster's sim spec — and requires the
-// same canonical bytes from each: a configuration added in one place
-// shows up in every CLI and in the wire API.
+// through the two ways a point name arrives — hyve-sim's flags and
+// hyve-serve's /point — and requires the same canonical bytes from
+// each: a configuration added in one place shows up in every CLI and in
+// the wire API.
 func TestEveryConfigReachesEveryConsumer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
@@ -257,22 +255,6 @@ func TestEveryConfigReachesEveryConsumer(t *testing.T) {
 		}
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(served, direct.Bytes()) {
 			t.Errorf("/point config %s: status %d, body differs from hyve-sim -result: %.120s", name, resp.StatusCode, served)
-		}
-
-		wire, err := jobs.NewSimSpec(sw)
-		if err != nil {
-			t.Fatalf("jobs.NewSimSpec rejects %s: %v", name, err)
-		}
-		job, err := jobs.Decode(wire, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, err := job.Execute(context.Background(), 0)
-		if err != nil {
-			t.Fatalf("cluster point config %s: %v", name, err)
-		}
-		if !bytes.Equal(merged, direct.Bytes()) {
-			t.Errorf("cluster point config %s differs from hyve-sim -result", name)
 		}
 	}
 }

@@ -235,7 +235,6 @@ func render(w io.Writer, doc, prev *obs.PromDoc, dt time.Duration) {
 	}
 
 	renderServe(w, doc, prev, dt)
-	renderCluster(w, doc, prev, dt)
 }
 
 // renderServe draws the hyve-serve panel when the scraped process
@@ -268,70 +267,6 @@ func renderServe(w io.Writer, doc, prev *obs.PromDoc, dt time.Duration) {
 			fmtSeconds(obs.HistQuantile(buckets, 0.50)),
 			fmtSeconds(obs.HistQuantile(buckets, 0.90)),
 			fmtSeconds(obs.HistQuantile(buckets, 0.99)))
-	}
-}
-
-// renderCluster draws the distributed-sweep panel when the scraped
-// process is a hyve-sweepd coordinator exposing the hyve_cluster_*
-// families (hidden otherwise, like the serve panel).
-func renderCluster(w io.Writer, doc, prev *obs.PromDoc, dt time.Duration) {
-	shards, okS := doc.Value("hyve_cluster_shards")
-	granted, okG := doc.Value("hyve_cluster_leases_granted_total")
-	if !okS && !okG {
-		return
-	}
-	done, _ := doc.Value("hyve_cluster_leases_completed_total")
-	leased, _ := doc.Value("hyve_cluster_shards_leased")
-	live, _ := doc.Value("hyve_cluster_workers_live")
-	reclaimed, _ := doc.Value("hyve_cluster_leases_reclaimed_total")
-	expired, _ := doc.Value("hyve_cluster_leases_expired_total")
-	reassigned, _ := doc.Value("hyve_cluster_shards_reassigned_total")
-	merged, _ := doc.Value("hyve_cluster_results_merged_total")
-	duplicate, _ := doc.Value("hyve_cluster_results_duplicate_total")
-	corrupt, _ := doc.Value("hyve_cluster_results_corrupt_total")
-	poisoned, _ := doc.Value("hyve_cluster_shards_poisoned_total")
-
-	fmt.Fprintf(w, "cluster   %.0f/%.0f shards done", done, shards)
-	if shards > 0 {
-		fmt.Fprintf(w, " %s %3.0f%%", bar(done/shards, 20), 100*done/shards)
-	}
-	fmt.Fprintf(w, "   %.0f leased   %.0f workers live\n", leased, live)
-	fmt.Fprintf(w, "          %.0f granted   %.0f reclaimed (%.0f expired)   %.0f reassigned   %.0f merged   %.0f duplicate   %.0f corrupt",
-		granted, reclaimed, expired, reassigned, merged, duplicate, corrupt)
-	if prev != nil && dt > 0 {
-		pm, _ := prev.Value("hyve_cluster_results_merged_total")
-		if r := (merged - pm) / dt.Seconds(); r > 0 {
-			fmt.Fprintf(w, "   %5.1f pts/s", r)
-		}
-	}
-	fmt.Fprintln(w)
-	if poisoned > 0 {
-		fmt.Fprintf(w, "          ⚠ %.0f shard(s) poisoned — quarantined after repeated worker failures\n", poisoned)
-	}
-	if pts := doc.SamplesNamed("hyve_cluster_worker_points_total"); len(pts) > 0 {
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Label("worker") < pts[j].Label("worker") })
-		fmt.Fprint(w, "          by worker: ")
-		for _, s := range pts {
-			fmt.Fprintf(w, "[%s %.0f", s.Label("worker"), s.Value)
-			if prev != nil && dt > 0 {
-				for _, p := range prev.SamplesNamed("hyve_cluster_worker_points_total") {
-					if p.Label("worker") == s.Label("worker") {
-						if r := (s.Value - p.Value) / dt.Seconds(); r > 0 {
-							fmt.Fprintf(w, " %.1f/s", r)
-						}
-						break
-					}
-				}
-			}
-			fmt.Fprint(w, "] ")
-		}
-		fmt.Fprintln(w)
-	}
-	if buckets := doc.SamplesNamed("hyve_cluster_shard_attempts_bucket"); len(buckets) > 0 {
-		fmt.Fprintf(w, "%-9s p50 %-10.1f p90 %-10.1f p99 %-10.1f\n", "attempts",
-			obs.HistQuantile(buckets, 0.50),
-			obs.HistQuantile(buckets, 0.90),
-			obs.HistQuantile(buckets, 0.99))
 	}
 }
 

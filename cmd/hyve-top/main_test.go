@@ -170,64 +170,6 @@ func TestRenderServePanel(t *testing.T) {
 	}
 }
 
-// TestRenderClusterPanel pins the distributed-sweep panel: hidden
-// without the hyve_cluster_* families, rendered with shard progress,
-// fault counters, a merge rate, per-worker attribution, and the poison
-// warning when a coordinator is scraped.
-func TestRenderClusterPanel(t *testing.T) {
-	benchDoc, err := obs.ParseProm(strings.NewReader(expose(t, sampleRegistry())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	render(&out, benchDoc, nil, 0)
-	if strings.Contains(out.String(), "cluster ") {
-		t.Errorf("cluster panel rendered for a scrape without hyve_cluster_* families:\n%s", out.String())
-	}
-
-	clusterReg := func(merged int64) *obs.Registry {
-		r := obs.NewRegistry()
-		r.Gauge("cluster.shards", 16)
-		r.Gauge("cluster.shards.leased", 3)
-		r.Gauge("cluster.workers.live", 2)
-		r.Count("cluster.leases.granted", 14)
-		r.Count("cluster.leases.completed", 9)
-		r.Count("cluster.leases.reclaimed", 4)
-		r.Count("cluster.leases.expired", 2)
-		r.Count("cluster.shards.reassigned", 4)
-		r.Count("cluster.shards.poisoned", 1)
-		r.Count("cluster.results.merged", merged)
-		r.Count("cluster.results.duplicate", 5)
-		r.Count("cluster.results.corrupt", 3)
-		r.Count(obs.WithLabel("cluster.worker.points", "worker", "alpha#1"), merged-10)
-		r.Count(obs.WithLabel("cluster.worker.points", "worker", "beta#2"), 10)
-		return r
-	}
-	prevDoc, err := obs.ParseProm(strings.NewReader(expose(t, clusterReg(30))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nowDoc, err := obs.ParseProm(strings.NewReader(expose(t, clusterReg(80))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	render(&out, nowDoc, prevDoc, 10*time.Second)
-	got := out.String()
-	for _, want := range []string{
-		"9/16 shards done", "3 leased", "2 workers live",
-		"14 granted", "4 reclaimed (2 expired)", "4 reassigned",
-		"80 merged", "5 duplicate", "3 corrupt",
-		"5.0 pts/s",
-		"1 shard(s) poisoned",
-		"[alpha#1 70", "[beta#2 10",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("cluster panel missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestRunOnceAgainstServer(t *testing.T) {
 	reg := sampleRegistry()
 	srv := httptest.NewServer(reg.PromHandler())

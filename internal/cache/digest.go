@@ -2,8 +2,8 @@
 // makes result reuse flow through it: a versioned content digest over
 // (Config, Workload, code-schema version), a sharded in-memory LRU plus
 // an on-disk content-addressed store of results, and one Scheduler
-// through which experiments, the service and cluster jobs submit points
-// — so identical points execute exactly once. A nil *Scheduler means no
+// through which experiments and the service submit points — so
+// identical points execute exactly once. A nil *Scheduler means no
 // cache: every point executes. Each command's main builds the scheduler
 // it uses (cache.New, or cache.Off for -no-cache).
 //

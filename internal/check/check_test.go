@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -56,12 +57,56 @@ func TestRunSweepPasses(t *testing.T) {
 }
 
 func TestRunDurationBudget(t *testing.T) {
-	sum, err := Run(Options{Seed: 1, Duration: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		for _, budget := range []time.Duration{time.Nanosecond, 200 * time.Millisecond} {
+			var out bytes.Buffer
+			sum, err := run(Options{Seed: 1, Duration: budget, Verbose: true, Out: &out}, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Points < 1 {
+				t.Fatalf("workers=%d budget=%v: expired budget must still run one point, ran %d", workers, budget, sum.Points)
+			}
+			// Points that finish past the deadline are dropped; the ones
+			// kept are the first seeds, in order.
+			lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+			if len(lines) != sum.Points {
+				t.Fatalf("workers=%d budget=%v: %d progress lines for %d points:\n%s", workers, budget, len(lines), sum.Points, out.String())
+			}
+			for i, line := range lines {
+				if want := fmt.Sprintf("ok   seed=%d ", 1+i); !strings.HasPrefix(line, want) {
+					t.Fatalf("workers=%d budget=%v: line %d is %q, want prefix %q", workers, budget, i, line, want)
+				}
+			}
+		}
 	}
-	if sum.Points < 1 {
-		t.Fatalf("expired budget must still run one point, ran %d", sum.Points)
+}
+
+// TestRunWorkersMatchSequential pins the worker-count contract: the
+// progress lines and the report are the same bytes at every worker
+// count, because points fold in seed order however they finish.
+func TestRunWorkersMatchSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep is not short")
+	}
+	var wantOut, wantRep []byte
+	for _, workers := range []int{1, 2, 4} {
+		var out, rep bytes.Buffer
+		sum, err := run(Options{Seed: 1, Points: 12, Verbose: true, Out: &out}, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		sum.WriteReport(&rep)
+		if workers == 1 {
+			wantOut, wantRep = out.Bytes(), rep.Bytes()
+			continue
+		}
+		if !bytes.Equal(out.Bytes(), wantOut) {
+			t.Errorf("workers=%d progress differs from 1 worker:\n%s\nwant:\n%s", workers, out.Bytes(), wantOut)
+		}
+		if !bytes.Equal(rep.Bytes(), wantRep) {
+			t.Errorf("workers=%d report differs from 1 worker:\n%s\nwant:\n%s", workers, rep.Bytes(), wantRep)
+		}
 	}
 }
 
@@ -121,38 +166,42 @@ func TestInvariantRegistryWellFormed(t *testing.T) {
 }
 
 func TestRunPointTimeoutAbandonsAndContinues(t *testing.T) {
-	var out bytes.Buffer
-	// A nanosecond limit is below any real point's build time, so every
-	// point must be abandoned: no failures, no completed points, every
-	// seed recorded, and the sweep itself still terminates.
-	sum, err := Run(Options{Seed: 1, Points: 3, PointTimeout: time.Nanosecond, Out: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Points != 0 || len(sum.TimedOut) != 3 {
-		t.Fatalf("Points=%d TimedOut=%d, want 0 and 3", sum.Points, len(sum.TimedOut))
-	}
-	for i, to := range sum.TimedOut {
-		if to.Seed != uint64(1+i) || to.Limit != time.Nanosecond {
-			t.Errorf("TimedOut[%d] = %+v", i, to)
+	for _, workers := range []int{1, 4} {
+		var out bytes.Buffer
+		// A nanosecond limit is below any real point's build time, so
+		// every point must be abandoned: no failures, no completed
+		// points, every seed recorded in seed order, and the sweep
+		// itself still terminates.
+		sum, err := run(Options{Seed: 1, Points: 3, PointTimeout: time.Nanosecond, Out: &out}, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sum.OK() {
-		t.Error("timed-out points must not count as violations")
-	}
-	if sum.Complete() {
-		t.Error("Complete() must be false with abandoned points")
-	}
-	if !strings.Contains(out.String(), "TIMEOUT seed=1") {
-		t.Errorf("missing TIMEOUT progress line:\n%s", out.String())
-	}
-	var rep bytes.Buffer
-	sum.WriteReport(&rep)
-	if !strings.Contains(rep.String(), "PASS (incomplete)") {
-		t.Errorf("report must flag the incomplete pass:\n%s", rep.String())
-	}
-	if !strings.Contains(rep.String(), "-seed 1 -points 1") {
-		t.Errorf("report must say how to reproduce the abandoned seed:\n%s", rep.String())
+		if sum.Points != 0 || len(sum.TimedOut) != 3 {
+			t.Fatalf("workers=%d: Points=%d TimedOut=%d, want 0 and 3", workers, sum.Points, len(sum.TimedOut))
+		}
+		for i, to := range sum.TimedOut {
+			if to.Seed != uint64(1+i) || to.Limit != time.Nanosecond {
+				t.Errorf("workers=%d: TimedOut[%d] = %+v", workers, i, to)
+			}
+		}
+		if !sum.OK() {
+			t.Error("timed-out points must not count as violations")
+		}
+		if sum.Complete() {
+			t.Error("Complete() must be false with abandoned points")
+		}
+		want := "TIMEOUT seed=1 abandoned after 1ns\nTIMEOUT seed=2 abandoned after 1ns\nTIMEOUT seed=3 abandoned after 1ns\n"
+		if out.String() != want {
+			t.Errorf("workers=%d: progress lines:\n%s\nwant:\n%s", workers, out.String(), want)
+		}
+		var rep bytes.Buffer
+		sum.WriteReport(&rep)
+		if !strings.Contains(rep.String(), "PASS (incomplete)") {
+			t.Errorf("report must flag the incomplete pass:\n%s", rep.String())
+		}
+		if !strings.Contains(rep.String(), "-seed 1 -points 1") {
+			t.Errorf("report must say how to reproduce the abandoned seed:\n%s", rep.String())
+		}
 	}
 }
 

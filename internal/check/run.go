@@ -1,12 +1,16 @@
 package check
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // Options configures a conformance sweep.
@@ -78,9 +82,17 @@ func (s *Summary) Complete() bool { return len(s.TimedOut) == 0 }
 
 // Run executes the conformance sweep: deterministic seeds Seed, Seed+1,
 // … drive randomized points, and every applicable invariant runs at
-// every point. At least one point always runs, even under an expired
-// duration budget, so a sweep can never vacuously pass.
+// every point. Points run on the parallel pool, one worker per CPU
+// (GOMAXPROCS), and fold into the summary and the progress lines in
+// seed order, so the output is the same at every worker count. At least
+// one point always runs, even under an expired duration budget, so a
+// sweep can never vacuously pass.
 func Run(opt Options) (*Summary, error) {
+	return run(opt, parallel.Workers(0))
+}
+
+// run is Run on the given number of workers.
+func run(opt Options, workers int) (*Summary, error) {
 	out := opt.Out
 	if out == nil {
 		out = io.Discard
@@ -91,33 +103,27 @@ func Run(opt Options) (*Summary, error) {
 		sum.Invariants[i] = InvariantSummary{Name: inv.Name, Tolerance: inv.Tolerance}
 	}
 
-	points := opt.Points
-	if points <= 0 && opt.Duration <= 0 {
-		points = DefaultPoints
+	n := opt.Points
+	if n <= 0 {
+		n = DefaultPoints
+		if opt.Duration > 0 {
+			n = math.MaxInt // until the deadline
+		}
 	}
 	deadline := time.Time{}
 	if opt.Duration > 0 {
 		deadline = time.Now().Add(opt.Duration)
 	}
 
-	for i := 0; ; i++ {
-		if points > 0 && i >= points {
-			break
-		}
-		if i > 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
+	// fold adds point i's outcome to the summary and prints its lines.
+	fold := func(i int, res *pointResult) {
 		seed := opt.Seed + uint64(i)
-		res, err := runPointWithTimeout(seed, invs, opt.PointTimeout)
-		if err != nil {
-			return sum, err
-		}
 		if res == nil {
 			// Abandoned at the limit; its goroutine finishes (or hangs)
 			// on its own and its results, if any, are discarded.
 			sum.TimedOut = append(sum.TimedOut, TimedOutPoint{Seed: seed, Limit: opt.PointTimeout})
 			fmt.Fprintf(out, "TIMEOUT seed=%d abandoned after %v\n", seed, opt.PointTimeout)
-			continue
+			return
 		}
 		sum.Points++
 		sum.Checks += res.checks
@@ -133,7 +139,65 @@ func Run(opt Options) (*Summary, error) {
 			fmt.Fprintf(out, "ok   %s\n", res.point)
 		}
 	}
-	return sum, nil
+
+	// The pool runs points in any order and hands each outcome to this
+	// goroutine, which folds them in seed order: a finished point waits
+	// in pending until every lower index has folded. Folding stops at
+	// the first index that never arrives (a point that found the
+	// deadline passed, or one that panicked) and at the first point
+	// that failed to build. Either cancels ctx, which stops the pool
+	// from starting points; those already running finish, and every
+	// index below a started one has started too, so the folded prefix is
+	// the one a sequential loop would fold.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type outcome struct {
+		i   int
+		res *pointResult
+		err error
+	}
+	outcomes := make(chan outcome)
+	poolErr := make(chan error, 1)
+	go func() {
+		poolErr <- parallel.ForEachCtx(ctx, workers, n, func(i int) error {
+			if i > 0 && !deadline.IsZero() && time.Now().After(deadline) {
+				cancel()
+				return nil
+			}
+			res, err := runPointWithTimeout(opt.Seed+uint64(i), invs, opt.PointTimeout)
+			if err != nil {
+				cancel()
+			}
+			outcomes <- outcome{i, res, err}
+			return nil
+		})
+		close(outcomes)
+	}()
+
+	pending := map[int]outcome{}
+	next := 0
+	var runErr error
+	for o := range outcomes {
+		pending[o.i] = o
+		for runErr == nil {
+			p, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			runErr = p.err
+			if runErr == nil {
+				fold(next, p.res)
+				next++
+			}
+		}
+	}
+	if err := <-poolErr; runErr == nil && err != nil && !errors.Is(err, context.Canceled) {
+		// A point panicked (possible only without a point timeout,
+		// where the point runs on the pool's own goroutine).
+		runErr = err
+	}
+	return sum, runErr
 }
 
 // pointResult is one point's completed outcome, assembled off to the

@@ -89,7 +89,6 @@ var promHelp = map[string]string{
 	"hyve_parallel_points_completed_total":   "Simulation/experiment points completed by the worker pool.",
 	"hyve_parallel_points_inflight":          "Points currently executing in the worker pool.",
 	"hyve_parallel_points_panicked_total":    "Points whose execution panicked (recovered per-point).",
-	"hyve_parallel_points_retried_total":     "Additional attempts given to failing points.",
 	"hyve_parallel_workers":                  "Workers of the most recently started pool.",
 	"hyve_parallel_worker_utilization":       "Busy fraction of each pool worker over its pool's lifetime.",
 	"hyve_parallel_point_exec_seconds":       "Wall-clock execution latency of one pool point.",
@@ -118,23 +117,6 @@ var promHelp = map[string]string{
 	"hyve_serve_request_seconds":             "End-to-end service request latency (admission to last byte).",
 	"hyve_serve_points_served_total":         "Simulation points served successfully over HTTP.",
 	"hyve_serve_drains_total":                "Graceful drains started (0 or 1 per process lifetime).",
-	"hyve_cluster_leases_granted_total":      "Shard leases granted to workers (including regrants).",
-	"hyve_cluster_leases_reclaimed_total":    "Leases taken back from dead, stalled, or misbehaving workers.",
-	"hyve_cluster_leases_expired_total":      "Leases reclaimed specifically for missing heartbeats (subset of reclaimed).",
-	"hyve_cluster_leases_completed_total":    "Shards whose every point merged.",
-	"hyve_cluster_shards_reassigned_total":   "Leases granted to a shard beyond its first (the recovery path working).",
-	"hyve_cluster_shards_poisoned_total":     "Shards quarantined after distinct workers kept failing them.",
-	"hyve_cluster_results_merged_total":      "Point payloads validated and merged into the artifact.",
-	"hyve_cluster_results_duplicate_total":   "Redundant deliveries discarded (stale generation or already merged).",
-	"hyve_cluster_results_corrupt_total":     "Deliveries rejected: invalid payload, outside the lease, or byte conflict.",
-	"hyve_cluster_workers_joined_total":      "Worker connections accepted.",
-	"hyve_cluster_workers_lost_total":        "Worker connections dropped (disconnect, bad frame, idle timeout).",
-	"hyve_cluster_frames_bad_total":          "Frames refused by the wire protocol (CRC, framing, or protocol errors).",
-	"hyve_cluster_workers_live":              "Worker connections currently open.",
-	"hyve_cluster_shards":                    "Shards the sweep was cut into.",
-	"hyve_cluster_shards_leased":             "Shards currently out on lease.",
-	"hyve_cluster_shard_attempts":            "Grants each completed shard needed (1 = first worker finished it).",
-	"hyve_cluster_worker_points_total":       "Points merged, labeled by the worker that computed them.",
 }
 
 // upDownCounters lists recorded-as-Count names that are semantically

@@ -49,23 +49,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: point %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Options tunes a sweep's resilience policy.
-type Options struct {
-	// Retries is how many additional attempts a failing point gets
-	// before its error is reported (0 = fail on first error, the
-	// default). Retrying is sound for the deterministic workloads this
-	// pool runs — a deterministic failure fails every attempt and is
-	// reported unchanged — and rescues points hit by transient host
-	// conditions (file-system hiccups, memory pressure kills).
-	Retries int
-	// Backoff schedules the delay between a point's attempts (capped
-	// jittered exponential, decorrelated per point index). The zero
-	// value applies the package defaults; retries used to fire
-	// back-to-back with zero delay, which turned a transient host
-	// condition into an instant triple-failure.
-	Backoff Backoff
-}
-
 // ForEach runs fn(i) for every i in [0, n) on at most
 // Workers(workers) goroutines and returns the error of the lowest
 // failing index — the same error a sequential loop that runs every
@@ -78,12 +61,7 @@ type Options struct {
 // earlier ones, the reported error is identical either way.
 //
 // A panic inside fn does not escape: it is recovered into a
-// *PanicError for that index (see ForEachOpt for the policy knobs).
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachOpt(workers, n, Options{}, fn)
-}
-
-// ForEachOpt is ForEach with an explicit resilience policy.
+// *PanicError for that index.
 //
 // The pool is instrumented: point execution latencies and
 // pool-start-to-point-start queue waits feed log-bucketed histograms
@@ -93,11 +71,11 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // recorder and triggers an automatic flight dump (if a driver installed
 // a dump writer). All of it goes through obs.Default(), so an
 // unobserved process pays only no-op interface calls.
-func ForEachOpt(workers, n int, opt Options, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, opt, fn)
+func ForEach(workers, n int, fn func(i int) error) error {
+	return ForEachCtx(context.Background(), workers, n, fn)
 }
 
-// ForEachCtx is ForEachOpt under a caller context: once ctx is
+// ForEachCtx is ForEach under a caller context: once ctx is
 // cancelled no further point is dispatched, but points already
 // executing finish normally — the pool never abandons work mid-point,
 // so index-addressed results are always either complete or untouched.
@@ -107,7 +85,7 @@ func ForEachOpt(workers, n int, opt Options, fn func(i int) error) error {
 // seam hyve-serve leans on: a dropped request or a draining process
 // stops a sweep at the next point boundary without corrupting any
 // in-flight computation.
-func ForEachCtx(ctx context.Context, workers, n int, opt Options, fn func(i int) error) error {
+func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -135,16 +113,6 @@ func ForEachCtx(ctx context.Context, workers, n int, opt Options, fn func(i int)
 		rec.Count("parallel.points.inflight", 1)
 		start := time.Now()
 		err := attempt(i)
-		for r := 0; err != nil && r < opt.Retries; r++ {
-			// Back off before the re-attempt; a cancellation mid-backoff
-			// means no more attempts, and the point's own error stands
-			// (it did genuinely fail).
-			if opt.Backoff.ForKey(uint64(i)).Wait(ctx, r) != nil {
-				break
-			}
-			rec.Count("parallel.points.retried", 1)
-			err = attempt(i)
-		}
 		obs.ObserveSince(rec, "parallel.point.exec.seconds", start)
 		rec.Count("parallel.points.inflight", -1)
 		rec.Count("parallel.points.completed", 1)

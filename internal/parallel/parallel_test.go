@@ -143,39 +143,6 @@ func TestForEachPanickingPointReportsLowestIndex(t *testing.T) {
 	}
 }
 
-func TestForEachOptRetriesTransientFailures(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		var failures [30]atomic.Int32
-		err := ForEachOpt(workers, 30, Options{Retries: 2}, func(i int) error {
-			// Every point fails twice (one panic, one error) then succeeds.
-			switch failures[i].Add(1) {
-			case 1:
-				panic("transient panic")
-			case 2:
-				return errors.New("transient error")
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-	}
-}
-
-func TestForEachOptRetriesExhaust(t *testing.T) {
-	var attempts atomic.Int32
-	err := ForEachOpt(1, 1, Options{Retries: 3}, func(int) error {
-		attempts.Add(1)
-		return errors.New("deterministic failure")
-	})
-	if err == nil || err.Error() != "deterministic failure" {
-		t.Fatalf("err = %v", err)
-	}
-	if got := attempts.Load(); got != 4 {
-		t.Fatalf("attempts = %d, want 1 + 3 retries", got)
-	}
-}
-
 // TestForEachPanicHammer is the race-condition hammer: many workers,
 // many points, a third of them panicking, run under -race in CI. The
 // pool must drain cleanly, report the lowest poisoned index, and never
@@ -226,7 +193,7 @@ func TestForEachCtxStopsDispatchOnCancel(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	err := ForEachCtx(ctx, workers, n, Options{}, func(i int) error {
+	err := ForEachCtx(ctx, workers, n, func(i int) error {
 		started <- i
 		<-release
 		mu.Lock()
@@ -258,7 +225,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 	cancel()
 	var runs atomic.Int64
 	for _, workers := range []int{1, 8} {
-		if err := ForEachCtx(ctx, workers, 16, Options{}, func(i int) error {
+		if err := ForEachCtx(ctx, workers, 16, func(i int) error {
 			runs.Add(1)
 			return nil
 		}); err != context.Canceled {
@@ -274,7 +241,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 func TestForEachCtxPointErrorWinsOverCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
-	err := ForEachCtx(ctx, 2, 8, Options{}, func(i int) error {
+	err := ForEachCtx(ctx, 2, 8, func(i int) error {
 		if i == 0 {
 			cancel()
 			return boom

@@ -1,11 +1,10 @@
 // Package point is the one place a simulation point is named, indexed
 // and run. A point is a (dataset, algorithm, configuration) coordinate
 // plus an optional on-chip SRAM override; a sweep is the dataset-major
-// cross product of three name lists. hyve-sim, hyve-trace, hyve-prep,
-// hyve-serve and the sweep cluster all resolve names here, so a
-// configuration added to the registry shows up in every CLI and in the
-// wire API, and a point run through Run yields the same canonical bytes
-// wherever it runs.
+// cross product of three name lists. hyve-sim, hyve-trace, hyve-prep
+// and hyve-serve all resolve names here, so a configuration added to
+// the registry shows up in every CLI and in the wire API, and a point
+// run through Run yields the same canonical bytes wherever it runs.
 //
 // The analytic graphr/cpu baselines are not registered: they have no
 // core.Config and no canonical result document, and only hyve-sim runs
@@ -145,7 +144,7 @@ func (s Spec) config() (core.Config, error) {
 
 // Run resolves a spec, submits it through sched, and returns the
 // canonical hyve/result/v1 document (cache.EncodeResult) — the bytes
-// hyve-sim -result prints, hyve-serve returns and the cluster merges.
+// hyve-sim -result prints and hyve-serve returns.
 func Run(ctx context.Context, sched *cache.Scheduler, s Spec) ([]byte, error) {
 	cfg, w, err := s.Resolve()
 	if err != nil {
@@ -161,9 +160,9 @@ func Run(ctx context.Context, sched *cache.Scheduler, s Spec) ([]byte, error) {
 // Sweep is the cross product of three name lists under one SRAM
 // override. Points are indexed dataset-major: point i is
 // (Datasets[i/(A·C)], Algos[(i/C)%A], Configs[i%C]) for A algorithms
-// and C configurations — hyve-sim's output order, the /sweep stream
-// order and the cluster's merge order. The JSON form is the cluster's
-// wire spec.
+// and C configurations — hyve-sim's output order and the /sweep stream
+// order. The JSON form is the body of a /sweep request
+// (serve.SweepRequest embeds it).
 type Sweep struct {
 	Datasets []string `json:"datasets"`
 	Algos    []string `json:"algos"`

@@ -575,7 +575,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	poolErr := make(chan error, 1)
 	go func() {
-		poolErr <- parallel.ForEachCtx(ctx, cap(s.sem), n, parallel.Options{}, func(i int) error {
+		poolErr <- parallel.ForEachCtx(ctx, cap(s.sem), n, func(i int) error {
 			results[i], digests[i], errs[i] = s.execPoint(ctx, specs[i])
 			close(done[i])
 			return nil // per-point failures stream as events, they never kill the sweep
