@@ -21,8 +21,9 @@
 // -point-timeout and no violation was found, so an incomplete sweep
 // can never pass silently.
 //
-// A point that times out automatically dumps the flight recorder's last
-// events (what the point was doing when it wedged) to stderr; -pprof
+// The first point that times out dumps the flight recorder's last
+// events (what the points were doing when it wedged) to stderr, once
+// per run; -pprof
 // additionally serves the live introspection endpoints — /metrics with
 // per-invariant latency histograms, /debug/flight, /debug/trace — on the
 // given address while the sweep runs.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestNewPointDeterministic(t *testing.T) {
@@ -166,8 +168,10 @@ func TestInvariantRegistryWellFormed(t *testing.T) {
 }
 
 func TestRunPointTimeoutAbandonsAndContinues(t *testing.T) {
+	t.Cleanup(func() { obs.SetFlightDump(nil) })
 	for _, workers := range []int{1, 4} {
-		var out bytes.Buffer
+		var out, dump bytes.Buffer
+		obs.SetFlightDump(&dump)
 		// A nanosecond limit is below any real point's build time, so
 		// every point must be abandoned: no failures, no completed
 		// points, every seed recorded in seed order, and the sweep
@@ -193,6 +197,11 @@ func TestRunPointTimeoutAbandonsAndContinues(t *testing.T) {
 		want := "TIMEOUT seed=1 abandoned after 1ns\nTIMEOUT seed=2 abandoned after 1ns\nTIMEOUT seed=3 abandoned after 1ns\n"
 		if out.String() != want {
 			t.Errorf("workers=%d: progress lines:\n%s\nwant:\n%s", workers, out.String(), want)
+		}
+		// The flight ring is process-wide: one dump per run, at the
+		// first timeout, not one more copy per abandoned point.
+		if n := strings.Count(dump.String(), "--- flight recorder dump"); n != 1 {
+			t.Errorf("workers=%d: %d flight dumps, want 1", workers, n)
 		}
 		var rep bytes.Buffer
 		sum.WriteReport(&rep)

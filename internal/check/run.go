@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -158,13 +159,14 @@ func run(opt Options, workers int) (*Summary, error) {
 	}
 	outcomes := make(chan outcome)
 	poolErr := make(chan error, 1)
+	var dumped sync.Once
 	go func() {
 		poolErr <- parallel.ForEachCtx(ctx, workers, n, func(i int) error {
 			if i > 0 && !deadline.IsZero() && time.Now().After(deadline) {
 				cancel()
 				return nil
 			}
-			res, err := runPointWithTimeout(opt.Seed+uint64(i), invs, opt.PointTimeout)
+			res, err := runPointWithTimeout(opt.Seed+uint64(i), invs, opt.PointTimeout, &dumped)
 			if err != nil {
 				cancel()
 			}
@@ -255,8 +257,11 @@ func runPoint(seed uint64, invs []Invariant) (*pointResult, error) {
 // nil return means the limit expired: the point's goroutine is left
 // running (a wedged simulation cannot be cancelled from outside; the
 // leak is bounded by one goroutine per timed-out point) and delivers
-// its eventual result into a buffered channel nobody reads.
-func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration) (*pointResult, error) {
+// its eventual result into a buffered channel nobody reads. Only the
+// sweep's first timeout dumps the flight ring (dumped guards it): the
+// ring is process-wide, so every later dump would repeat the first.
+// Later timeouts still record their flight event and TIMEOUT line.
+func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration, dumped *sync.Once) (*pointResult, error) {
 	if limit <= 0 {
 		return runPoint(seed, invs)
 	}
@@ -278,7 +283,7 @@ func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration) (*p
 		obs.Default().Count("check.points.timedout", 1)
 		obs.Flight().Record("check.point.timeout", strconv.FormatUint(seed, 10),
 			"limit", limit.String())
-		obs.DumpFlight("check point timeout at seed " + strconv.FormatUint(seed, 10))
+		dumped.Do(func() { obs.DumpFlight("check point timeout at seed " + strconv.FormatUint(seed, 10)) })
 		return nil, nil
 	}
 }

@@ -25,7 +25,9 @@ var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05, Noise: 0.05}
 // Validate checks that the quadrant probabilities form a distribution.
 func (p RMATParams) Validate() error {
 	sum := p.A + p.B + p.C + p.D
-	if sum < 0.999 || sum > 1.001 {
+	// Written so that NaN, which fails every comparison, fails the
+	// check: rmatPick's thresholds must be finite to never decrease.
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("graph: RMAT quadrant probabilities sum to %v, want 1", sum)
 	}
 	for _, q := range []float64{p.A, p.B, p.C, p.D} {
@@ -33,8 +35,24 @@ func (p RMATParams) Validate() error {
 			return fmt.Errorf("graph: negative RMAT quadrant probability %v", q)
 		}
 	}
-	if p.Noise < 0 || p.Noise >= 0.5 {
+	if !(p.Noise >= 0 && p.Noise < 0.5) {
 		return fmt.Errorf("graph: RMAT noise %v out of [0, 0.5)", p.Noise)
+	}
+	return nil
+}
+
+// checkSizes refuses what the random generators cannot produce: no
+// vertices, a negative edge count, or more vertices than a 32-bit
+// VertexID can name, whose ids would be silently truncated.
+func checkSizes(numVertices, numEdges int) error {
+	if numVertices <= 0 {
+		return ErrEmptyGraph
+	}
+	if uint64(numVertices) > 1<<32 {
+		return fmt.Errorf("graph: %d vertices exceed 1<<32, the most a 32-bit VertexID can name", numVertices)
+	}
+	if numEdges < 0 {
+		return fmt.Errorf("graph: negative edge count %d", numEdges)
 	}
 	return nil
 }
@@ -55,6 +73,7 @@ const rmatChunkEdges = 1 << 16
 // Self-loops and duplicate edges are kept, matching the raw SNAP edge
 // lists the paper streams. The output is deterministic in seed and
 // generated chunk-parallel across all CPUs; see GenerateRMATWorkers.
+// More than 1<<32 vertices, the most a VertexID can name, is an error.
 func GenerateRMAT(numVertices, numEdges int, p RMATParams, seed uint64) (*Graph, error) {
 	return GenerateRMATWorkers(numVertices, numEdges, p, seed, 0)
 }
@@ -68,11 +87,8 @@ func GenerateRMATWorkers(numVertices, numEdges int, p RMATParams, seed uint64, w
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if numVertices <= 0 {
-		return nil, ErrEmptyGraph
-	}
-	if numEdges < 0 {
-		return nil, fmt.Errorf("graph: negative edge count %d", numEdges)
+	if err := checkSizes(numVertices, numEdges); err != nil {
+		return nil, err
 	}
 	levels := 0
 	for (1 << levels) < numVertices {
@@ -127,41 +143,62 @@ func GenerateRMATWorkers(numVertices, numEdges int, p RMATParams, seed uint64, w
 	return g, nil
 }
 
+// rmatPick draws one edge of a 2^levels-vertex R-MAT graph from rng's
+// stream. Each level takes an optional noise draw that scales A and B,
+// then a uniform draw u over the level's quadrant mass a+b+c+d, and
+// picks the quadrant whose prefix-sum interval holds u: [0, a)
+// top-left, [a, a+b) top-right (dst bit), [a+b, a+b+c) bottom-left
+// (src bit), the rest bottom-right (both bits).
+//
+// This is the hot loop of every generated graph. It keeps the xorshift
+// state in a local and stores it back once per pick, and it picks the
+// quadrant without branches: Validate admits only non-negative, finite
+// quadrant masses, so the thresholds a ≤ a+b ≤ a+b+c never decrease,
+// the src bit is u ≥ a+b and the dst bit is the parity of the three
+// thresholds u reached. Every floating-point expression is the one the
+// switch form (rmatPickReference in gen_test.go) evaluates, in the same
+// order, so the two produce the same stream bit for bit.
 func rmatPick(rng *RNG, levels int, p RMATParams) (src, dst int) {
+	x := rng.state
 	for l := 0; l < levels; l++ {
 		a, b, c := p.A, p.B, p.C
 		if p.Noise > 0 {
 			// Symmetric multiplicative noise per level.
-			n := 1 + p.Noise*(2*rng.Float64()-1)
+			x = xorshift(x)
+			n := 1 + p.Noise*(2*unitFloat(x)-1)
 			a *= n
 			b *= n
 			// Renormalization is implicit: thresholds below compare the
 			// running prefix sums against a fresh uniform draw.
 		}
-		u := rng.Float64() * (a + b + c + p.D)
-		src <<= 1
-		dst <<= 1
-		switch {
-		case u < a:
-			// top-left quadrant: neither bit set.
-		case u < a+b:
-			dst |= 1
-		case u < a+b+c:
-			src |= 1
-		default:
-			src |= 1
-			dst |= 1
-		}
+		x = xorshift(x)
+		u := unitFloat(x) * (a + b + c + p.D)
+		t0 := reached(u, a)
+		t1 := reached(u, a+b)
+		t2 := reached(u, a+b+c)
+		src = src<<1 | t1
+		dst = dst<<1 | (t0 ^ t1 ^ t2)
 	}
+	rng.state = x
 	return src, dst
+}
+
+// reached is 1 if u ≥ t and 0 otherwise; it compiles to a flag set, not
+// a branch.
+func reached(u, t float64) int {
+	if u >= t {
+		return 1
+	}
+	return 0
 }
 
 // GenerateUniform produces a directed Erdős–Rényi-style graph with
 // exactly numEdges uniformly random edges. It is the control workload
-// for experiments that separate skew effects from size effects.
+// for experiments that separate skew effects from size effects. Like
+// GenerateRMAT, it refuses more than 1<<32 vertices.
 func GenerateUniform(numVertices, numEdges int, seed uint64) (*Graph, error) {
-	if numVertices <= 0 {
-		return nil, ErrEmptyGraph
+	if err := checkSizes(numVertices, numEdges); err != nil {
+		return nil, err
 	}
 	rng := NewRNG(seed)
 	g := &Graph{NumVertices: numVertices, Edges: make([]Edge, numEdges)}

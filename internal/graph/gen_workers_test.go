@@ -30,11 +30,14 @@ func TestGenerateRMATWorkerIdentity(t *testing.T) {
 }
 
 // TestGenerateRMATGolden pins the generator's exact output across
-// refactors: these digests were recorded when the chunk-parallel
-// generator landed, and every committed artifact (golden-quick runs,
-// prepared containers, cache entries) depends on them. A change here is
-// a generator change — regenerate the goldens and prepared containers
-// and say so in the PR.
+// refactors, on every Table 2 dataset: YT and LJ were recorded when the
+// chunk-parallel generator landed, WK, AS and TW with the switch-form
+// pick (rmatPickReference) just before the branch-free one replaced it.
+// AS is the dataset that accepts 98% of its picks (the others 76–81%),
+// and TW the only one at 16 levels. Every committed artifact
+// (golden-quick runs, prepared containers, cache entries) depends on
+// these digests. A change here is a generator change — regenerate the
+// goldens and prepared containers and say so in the change.
 func TestGenerateRMATGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,7 +45,10 @@ func TestGenerateRMATGolden(t *testing.T) {
 		want string
 	}{
 		{"YT", "YT", "1e6890dbfe16c07a61d8eeca8f4e4a87e92b39c67d225d2d0c8b99ed6669a79c"},
+		{"WK", "WK", "d29a00d1d0d35ffd63e923a906034a9317dce0ac8cddd2ad854195ef3ffe3d5a"},
+		{"AS", "AS", "fa20ab4a9b5a10861edce183d8d145e358ba528ead367663bea61036f0bf3573"},
 		{"LJ", "LJ", "2928133c7afb858c58ea3cd5328933eec7e076a5dfcffb003f988c5cc65ddf80"},
+		{"TW", "TW", "9dcb76e9916cdfe177ff246c0b4ea52755a46cc1a6073378e67514bac6d93b41"},
 	}
 	for _, tc := range cases {
 		d, err := DatasetByName(tc.ds)

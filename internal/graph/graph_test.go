@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -219,6 +220,14 @@ func TestRMATParamsValidate(t *testing.T) {
 	if err := (RMATParams{A: 0.25, B: 0.25, C: 0.25, D: 0.25, Noise: 0.9}).Validate(); err == nil {
 		t.Error("excessive noise accepted")
 	}
+	// NaN fails every comparison, so a range check must be written to
+	// fail on it: rmatPick needs finite quadrant masses.
+	if err := (RMATParams{A: math.NaN(), B: 0.2, C: 0.2, D: 0.1}).Validate(); err == nil {
+		t.Error("NaN quadrant accepted")
+	}
+	if err := (RMATParams{A: 0.25, B: 0.25, C: 0.25, D: 0.25, Noise: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN noise accepted")
+	}
 	if err := DefaultRMAT.Validate(); err != nil {
 		t.Errorf("DefaultRMAT invalid: %v", err)
 	}
@@ -237,6 +246,9 @@ func TestGenerateUniform(t *testing.T) {
 	}
 	if _, err := GenerateUniform(0, 5, 3); err == nil {
 		t.Error("zero vertices accepted")
+	}
+	if _, err := GenerateUniform(10, -1, 3); err == nil {
+		t.Error("negative edge count accepted")
 	}
 }
 

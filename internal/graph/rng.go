@@ -30,14 +30,30 @@ func SplitMix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
-	x := r.state
+// xorshift advances a xorshift64* state by one step.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	return x
+}
+
+// scramble is xorshift64*'s output function: the 64 random bits drawn
+// at state x.
+func scramble(x uint64) uint64 { return x * 0x2545F4914F6CDD1D }
+
+// unitFloat is the Float64 draw at state x, for loops that keep the
+// state in a local: the top 53 output bits over 2^53. They fit in an
+// int64, so converting through it is exact and needs no unsigned
+// conversion sequence.
+func unitFloat(x uint64) float64 {
+	return float64(int64(scramble(x)>>11)) / (1 << 53)
+}
+
+// Uint64 returns the next 64 random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state = xorshift(r.state)
+	return scramble(r.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
