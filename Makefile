@@ -109,16 +109,20 @@ serve-smoke:
 	@echo serve-smoke: served bytes identical to direct simulation, metrics clean, drain clean
 
 # prep-smoke is the prepared-graph end-to-end gate: compile YT into a
-# v2 container (grid at the auto-chosen P, self-verified against a
-# rebuild through both readers), then run the same quick sweep with and
-# without -prep-dir — the mmap-loaded dataset must produce artifact
-# directories byte-identical to in-process generation (manifest.json
-# excluded: wall time and worker count vary by design).
+# v2 container (self-verified through both readers), then require the
+# mmap-loaded dataset to reproduce in-process generation byte for byte:
+# hyve-sim's canonical result document for one point, and the artifact
+# directories of the same quick sweep (manifest.json excluded: wall time
+# and worker count vary by design).
 PREP_SMOKE_DIR ?= /tmp/hyve-prep-smoke
 prep-smoke:
 	rm -rf $(PREP_SMOKE_DIR) && mkdir -p $(PREP_SMOKE_DIR)/prep
-	$(GO) run ./cmd/hyve-prep -dataset YT -out $(PREP_SMOKE_DIR)/prep/YT.s8.hyve2 \
-		-grid auto -verify -budget 64
+	$(GO) run ./cmd/hyve-prep -dataset YT -out $(PREP_SMOKE_DIR)/prep/YT.s8.hyve2 -verify
+	$(GO) run ./cmd/hyve-sim -dataset YT -algo PR -config hyve-opt -result \
+		> $(PREP_SMOKE_DIR)/generated.result
+	$(GO) run ./cmd/hyve-sim -dataset YT -algo PR -config hyve-opt -result \
+		-prep-dir $(PREP_SMOKE_DIR)/prep > $(PREP_SMOKE_DIR)/prepared.result
+	cmp $(PREP_SMOKE_DIR)/generated.result $(PREP_SMOKE_DIR)/prepared.result
 	$(GO) run ./cmd/hyve-bench -quick -run table3,fig9,fig14 \
 		-artifact-dir $(PREP_SMOKE_DIR)/generated >/dev/null
 	$(GO) run ./cmd/hyve-bench -quick -run table3,fig9,fig14 \

@@ -2,8 +2,9 @@ package repro
 
 // Micro-benchmarks for the load-bearing substrate operations
 // (generation, including each Table 2 instance in
-// BenchmarkDatasetGenerate; container load; partitioning and the
-// count-only pass the cost model prices from, BenchmarkBlockOffsets;
+// BenchmarkDatasetGenerate; a prepared container's load against
+// regeneration, each followed by the count pass a point runs; the grid
+// build of the edge walks and that count-only pass, BenchmarkBlockOffsets;
 // simulation; GraphR's crossbar emulation; dynamic updates). End-to-end
 // numbers — every paper experiment, sweeps, the service — come from the
 // repository benchmark under bench/.
@@ -81,10 +82,11 @@ func BenchmarkDatasetGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphLoadV2 compares loading a prepared v2 container (mmap,
-// stored grid sections) with regenerating the same graph and rebuilding
-// its grid from scratch. The load side's allocs/op is the zero-copy
-// pin — it must stay O(1) in |E|, not O(edges).
+// BenchmarkGraphLoadV2 compares the two ways a point can start: generate
+// the graph, or load it from a prepared v2 container (mmap), each
+// followed by the block-offset count core.NewMachine prices from — a
+// point builds no grid. The load side's allocs/op is the zero-copy pin:
+// it must stay O(1) in |E|, not O(edges).
 func BenchmarkGraphLoadV2(b *testing.B) {
 	g := benchGraph(b)
 	asg, err := partition.NewHashed(g.NumVertices, 32)
@@ -96,42 +98,32 @@ func BenchmarkGraphLoadV2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := graph.NewV2Writer(f, g.NumVertices, g.NumEdges())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := graph.WriteV2Into(w, g, 11); err != nil {
-		b.Fatal(err)
-	}
-	if err := partition.StreamGridInto(w, g, asg, partition.StreamOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if err := graph.WriteV2(f, g, 11); err != nil {
 		b.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
 
-	b.Run("generate+build", func(b *testing.B) {
+	b.Run("generate+offsets", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gg, err := graph.GenerateRMAT(65_536, 524_288, graph.DefaultRMAT, 11)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := partition.BuildParallel(gg, asg, 0); err != nil {
+			if _, err := partition.BlockOffsets(gg, asg, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(g.NumEdges()), "edges/op")
 	})
-	b.Run("load+build", func(b *testing.B) {
+	b.Run("load+offsets", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c, err := graph.OpenV2(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := partition.BuildParallel(c.Graph(), asg, 0); err != nil {
+			if _, err := partition.BlockOffsets(c.Graph(), asg, 0); err != nil {
 				b.Fatal(err)
 			}
 			if err := c.Close(); err != nil {
@@ -140,36 +132,6 @@ func BenchmarkGraphLoadV2(b *testing.B) {
 		}
 		b.ReportMetric(float64(g.NumEdges()), "edges/op")
 	})
-}
-
-// BenchmarkPartitionStream measures the bounded-memory grid builder:
-// the in-memory single-run path and a budget small enough to spill and
-// merge runs through the temp file.
-func BenchmarkPartitionStream(b *testing.B) {
-	g := benchGraph(b)
-	asg, err := partition.NewHashed(g.NumVertices, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name   string
-		budget int64
-	}{{"in-memory", 0}, {"spill-4MiB", 4 << 20}} {
-		b.Run(bc.name, func(b *testing.B) {
-			dir := b.TempDir()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, closer, err := partition.StreamBuild(g, asg, partition.StreamOptions{BudgetBytes: bc.budget, TmpDir: dir})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := closer(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(g.NumEdges()), "edges/op")
-		})
-	}
 }
 
 func BenchmarkPartitionBuild(b *testing.B) {

@@ -2,16 +2,15 @@
 // (SNAP-style text edge list, a v2 container, a named dataset, or a
 // synthetic generator spec), apply interval-block partitioning, and
 // report layout statistics — or, with -out, act as the offline compiler
-// for the zero-copy v2 container format: edge list in generation order
-// and optional pre-partitioned grid sections at exactly the P a
-// simulation will request (-grid auto), mmap-loadable by
+// for the zero-copy v2 container format: the edge list in generation
+// order (and its weights, if any), mmap-loadable by
 // hyve-bench/hyve-sim/hyve-serve via -prep-dir.
 //
 // Usage:
 //
 //	hyve-prep -in graph.txt -p 16 -stats
 //	hyve-prep -gen rmat:100000:800000 -out graph.hyve2
-//	hyve-prep -dataset YT -out prep/YT.s8.hyve2 -grid auto -verify
+//	hyve-prep -dataset YT -out prep/YT.s8.hyve2 -verify
 //	hyve-prep -in prep/YT.s8.hyve2 -verify
 package main
 
@@ -23,20 +22,15 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/point"
 )
 
 type options struct {
 	in, gen, dataset string
 	scale            int
 	out              string
-	grid             string
-	config, algoName string
-	budgetMB         int
 	verify           bool
 
 	p         int
@@ -53,11 +47,7 @@ func main() {
 	flag.StringVar(&o.dataset, "dataset", "", "named dataset instance to generate (YT, WK, AS, LJ, TW)")
 	flag.IntVar(&o.scale, "scale", 0, "override the dataset's down-scale divisor (0 = dataset default, 1 = full scale)")
 	flag.StringVar(&o.out, "out", "", "compile the graph into a v2 container at this path (must end in .hyve2)")
-	flag.StringVar(&o.grid, "grid", "off", "v2 grid sections: off, auto (P from -config/-algo), or an explicit P")
-	flag.StringVar(&o.config, "config", "hyve-opt", "accelerator config for -grid auto: "+strings.Join(point.Names(), ", "))
-	flag.StringVar(&o.algoName, "algo", "PR", "program for -grid auto value sizing (PR, BFS, CC, SSSP, SpMV)")
-	flag.IntVar(&o.budgetMB, "budget", 256, "streaming partition memory budget in MiB")
-	flag.BoolVar(&o.verify, "verify", false, "re-open the container and verify digest and grid against a rebuild")
+	flag.BoolVar(&o.verify, "verify", false, "re-open the container with both readers and verify its content digest")
 	flag.IntVar(&o.p, "p", 0, "number of intervals for partitioning stats (0 = skip)")
 	flag.BoolVar(&o.hashed, "hashed", true, "use hashed (balanced) interval assignment")
 	flag.IntVar(&o.occupancy, "occupancy", 0, "also report N-wide block occupancy (e.g. 8 for GraphR stats)")
@@ -75,7 +65,7 @@ func run(o options) error {
 	if o.out != "" && !strings.HasSuffix(o.out, ".hyve2") {
 		return fmt.Errorf("-out %q: hyve-prep writes v2 containers, which must end in .hyve2", o.out)
 	}
-	g, seed, ds, err := load(o)
+	g, seed, err := load(o)
 	if err != nil {
 		return err
 	}
@@ -105,7 +95,7 @@ func run(o options) error {
 	}
 
 	if o.out != "" {
-		if err := writeV2(o, g, seed, ds); err != nil {
+		if err := writeV2(o.out, g, seed); err != nil {
 			return err
 		}
 	}
@@ -166,70 +156,13 @@ func partitionStats(o options, g *graph.Graph) error {
 	return nil
 }
 
-// gridP resolves the -grid flag to an interval count: 0 = no grid
-// sections. "auto" reproduces the exact decision a simulation under
-// -config/-algo will make (core.ChoosePFor), so the stored layout hits
-// the prepared fast path instead of being rebuilt.
-func gridP(o options, g *graph.Graph, ds *graph.Dataset) (int, error) {
-	switch o.grid {
-	case "", "off":
-		return 0, nil
-	case "auto":
-		cfg, err := point.Config(o.config)
-		if err != nil {
-			return 0, err
-		}
-		prog, err := algo.ByName(o.algoName)
-		if err != nil {
-			return 0, err
-		}
-		w := core.Workload{Graph: g, Program: prog}
-		if ds != nil {
-			w.FullVertices, w.FullEdges = ds.FullVertices, ds.FullEdges
-		}
-		return core.ChoosePFor(cfg, w)
-	default:
-		p, err := strconv.Atoi(o.grid)
-		if err != nil || p <= 0 {
-			return 0, fmt.Errorf("bad -grid %q (want off, auto, or a positive P)", o.grid)
-		}
-		return p, nil
-	}
-}
-
-func writeV2(o options, g *graph.Graph, seed uint64, ds *graph.Dataset) error {
-	p, err := gridP(o, g, ds)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(o.out)
+func writeV2(path string, g *graph.Graph, seed uint64) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w, err := graph.NewV2Writer(f, g.NumVertices, len(g.Edges))
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteV2Into(w, g, seed); err != nil {
-		return err
-	}
-	if p > 0 {
-		var asg partition.Assigner
-		if o.hashed {
-			asg, err = partition.NewHashed(g.NumVertices, p)
-		} else {
-			asg, err = partition.NewContiguous(g.NumVertices, p)
-		}
-		if err != nil {
-			return err
-		}
-		opt := partition.StreamOptions{BudgetBytes: int64(o.budgetMB) << 20}
-		if err := partition.StreamGridInto(w, g, asg, opt); err != nil {
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := graph.WriteV2(f, g, seed); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
@@ -239,19 +172,13 @@ func writeV2(o options, g *graph.Graph, seed uint64, ds *graph.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if p > 0 {
-		fmt.Printf("wrote %s (%d bytes, grid P=%d)\n", o.out, st.Size(), p)
-	} else {
-		fmt.Printf("wrote %s (%d bytes)\n", o.out, st.Size())
-	}
+	fmt.Printf("wrote %s (%d bytes)\n", path, st.Size())
 	return nil
 }
 
-// verifyContainer re-opens a container with both readers and proves the
-// derived sections against a from-scratch rebuild: header digest matches
-// the stored edges, and the grid sections equal a fresh BuildParallel at
-// the stored P (rebuilt from a clone so the prepared fast path cannot
-// serve the very data being checked).
+// verifyContainer re-opens a container with both readers and checks
+// that each decodes the edges the header's content digest was taken
+// over.
 func verifyContainer(path string) error {
 	c, err := graph.OpenV2(path)
 	if err != nil {
@@ -273,62 +200,18 @@ func verifyContainer(path string) error {
 	}
 	defer sc.Close()
 
-	g := c.Graph()
-	if got := graph.ContentDigest(g); got != c.Digest() {
+	if got := graph.ContentDigest(c.Graph()); got != c.Digest() {
 		return fmt.Errorf("content digest mismatch: stored %x, recomputed %x", c.Digest(), got)
 	}
 	if got := graph.ContentDigest(sc.Graph()); got != c.Digest() {
 		return fmt.Errorf("streaming reader decoded different bytes: %x", got)
 	}
-
-	if off, edges, wts, p, contig, ok := c.GridParts(); ok {
-		var asg partition.Assigner
-		if contig {
-			asg, err = partition.NewContiguous(g.NumVertices, p)
-		} else {
-			asg, err = partition.NewHashed(g.NumVertices, p)
-		}
-		if err != nil {
-			return err
-		}
-		stored, err := partition.GridFromParts(asg, off, edges, wts)
-		if err != nil {
-			return fmt.Errorf("grid sections: %w", err)
-		}
-		want, err := partition.BuildParallel(g.Clone(), asg, 0)
-		if err != nil {
-			return err
-		}
-		for x := 0; x < p; x++ {
-			for y := 0; y < p; y++ {
-				sb, wb := stored.Block(x, y), want.Block(x, y)
-				if len(sb) != len(wb) {
-					return fmt.Errorf("grid block (%d,%d): %d edges, want %d", x, y, len(sb), len(wb))
-				}
-				for i := range wb {
-					if sb[i] != wb[i] {
-						return fmt.Errorf("grid block (%d,%d) edge %d: %v, want %v", x, y, i, sb[i], wb[i])
-					}
-				}
-				swt, wwt := stored.BlockWeights(x, y), want.BlockWeights(x, y)
-				if (swt == nil) != (wwt == nil) {
-					return fmt.Errorf("grid block (%d,%d): weight presence mismatch", x, y)
-				}
-				for i := range wwt {
-					if swt[i] != wwt[i] {
-						return fmt.Errorf("grid block (%d,%d) weight %d: %v, want %v", x, y, i, swt[i], wwt[i])
-					}
-				}
-			}
-		}
-	}
 	return nil
 }
 
 // load resolves the input source. The returned seed is the generator
-// provenance recorded in v2 output (0 = unknown); ds is non-nil when
-// the graph is a named dataset instance.
-func load(o options) (*graph.Graph, uint64, *graph.Dataset, error) {
+// provenance recorded in v2 output (0 = unknown).
+func load(o options) (*graph.Graph, uint64, error) {
 	set := 0
 	for _, s := range []string{o.in, o.gen, o.dataset} {
 		if s != "" {
@@ -336,44 +219,43 @@ func load(o options) (*graph.Graph, uint64, *graph.Dataset, error) {
 		}
 	}
 	if set > 1 {
-		return nil, 0, nil, fmt.Errorf("specify exactly one of -in, -gen, -dataset")
+		return nil, 0, fmt.Errorf("specify exactly one of -in, -gen, -dataset")
 	}
 	switch {
 	case o.dataset != "":
 		d, err := graph.DatasetByName(o.dataset)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		if o.scale > 0 {
 			d.Scale = o.scale
 		}
 		g, err := d.Generate()
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
-		return g, d.Seed, &d, nil
+		return g, d.Seed, nil
 	case o.in != "":
 		if strings.HasSuffix(o.in, ".hyve2") {
 			c, err := graph.OpenV2(o.in)
 			if err != nil {
-				return nil, 0, nil, err
+				return nil, 0, err
 			}
 			// Left open: the graph aliases the mapping for the rest of
 			// the process (stats, re-writing, verification).
-			return c.Graph(), c.Seed(), nil, nil
+			return c.Graph(), c.Seed(), nil
 		}
 		f, err := os.Open(o.in)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		defer f.Close()
 		g, err := graph.ParseEdgeList(f)
-		return g, 0, nil, err
+		return g, 0, err
 	case o.gen != "":
-		g, seed, err := generate(o.gen)
-		return g, seed, nil, err
+		return generate(o.gen)
 	default:
-		return nil, 0, nil, fmt.Errorf("specify -in FILE, -gen SPEC, or -dataset NAME")
+		return nil, 0, fmt.Errorf("specify -in FILE, -gen SPEC, or -dataset NAME")
 	}
 }
 

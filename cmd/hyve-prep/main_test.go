@@ -30,28 +30,32 @@ func TestGenerateSpecs(t *testing.T) {
 }
 
 func TestLoadDispatch(t *testing.T) {
-	if _, _, _, err := load(options{}); err == nil {
+	if _, _, err := load(options{}); err == nil {
 		t.Error("no input accepted")
 	}
-	if _, _, _, err := load(options{in: "a.txt", gen: "rmat:1:1"}); err == nil {
+	if _, _, err := load(options{in: "a.txt", gen: "rmat:1:1"}); err == nil {
 		t.Error("both inputs accepted")
 	}
-	if _, _, _, err := load(options{in: "a.txt", dataset: "YT"}); err == nil {
+	if _, _, err := load(options{in: "a.txt", dataset: "YT"}); err == nil {
 		t.Error("in+dataset accepted")
 	}
-	if _, _, _, err := load(options{in: "/does/not/exist.txt"}); err == nil {
+	if _, _, err := load(options{in: "/does/not/exist.txt"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	g, _, _, err := load(options{gen: "uniform:50:100:3"})
+	g, _, err := load(options{gen: "uniform:50:100:3"})
 	if err != nil || g.NumEdges() != 100 {
 		t.Errorf("generator load failed: %v", err)
 	}
-	g, seed, ds, err := load(options{dataset: "YT"})
+	g, seed, err := load(options{dataset: "YT"})
 	if err != nil {
 		t.Fatalf("dataset load: %v", err)
 	}
-	if ds == nil || ds.Name != "YT" || seed != ds.Seed {
-		t.Errorf("dataset metadata: ds=%v seed=%#x", ds, seed)
+	ds, err := graph.DatasetByName("YT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed != ds.Seed {
+		t.Errorf("dataset seed %#x, want %#x", seed, ds.Seed)
 	}
 	if g.NumVertices != ds.GenVertices() || g.NumEdges() != ds.GenEdges() {
 		t.Errorf("dataset instance %d/%d, want %d/%d",
@@ -97,15 +101,12 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestRunV2Compile drives the offline-compiler path end to end: compile
-// a generated graph to a v2 container with grid sections, verify
-// it, then reload it through -in and verify it again.
+// a generated graph to a v2 container, verify it, then reload it
+// through -in and verify it again.
 func TestRunV2Compile(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "g.hyve2")
-	o := options{
-		gen: "rmat:2000:9000:4", out: out,
-		grid: "8", budgetMB: 1, verify: true, stats: false, hashed: true,
-	}
+	o := options{gen: "rmat:2000:9000:4", out: out, verify: true, stats: false, hashed: true}
 	if err := run(o); err != nil {
 		t.Fatalf("compile v2: %v", err)
 	}
@@ -113,8 +114,8 @@ func TestRunV2Compile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.GridP() != 8 || c.Seed() != 4 {
-		t.Fatalf("container: gridP=%d seed=%d", c.GridP(), c.Seed())
+	if g := c.Graph(); g.NumVertices != 2000 || g.NumEdges() != 9000 || c.Seed() != 4 {
+		t.Fatalf("container: %d/%d seed=%d", g.NumVertices, g.NumEdges(), c.Seed())
 	}
 	c.Close()
 
@@ -124,33 +125,10 @@ func TestRunV2Compile(t *testing.T) {
 	}
 }
 
-// TestRunV2GridAuto pins that -grid auto picks the P a simulation will
-// request, so the prepared fast path fires.
-func TestRunV2GridAuto(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "auto.hyve2")
-	o := options{
-		gen: "rmat:4096:20000:9", out: out,
-		grid: "auto", config: "hyve-opt", algoName: "PR",
-		budgetMB: 1, verify: true, hashed: true,
-	}
-	if err := run(o); err != nil {
-		t.Fatalf("compile with -grid auto: %v", err)
-	}
-	c, err := graph.OpenV2(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.GridP() == 0 {
-		t.Fatal("auto grid produced no grid sections")
-	}
-}
-
 func TestVerifyCatchesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "c.hyve2")
-	if err := run(options{gen: "uniform:500:2000:2", out: out, grid: "off"}); err != nil {
+	if err := run(options{gen: "uniform:500:2000:2", out: out}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte of the stored digest: structural validation still

@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func TestRunDurationBudget(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, budget := range []time.Duration{time.Nanosecond, 200 * time.Millisecond} {
 			var out bytes.Buffer
-			sum, err := run(Options{Seed: 1, Duration: budget, Verbose: true, Out: &out}, workers)
+			sum, err := run(Options{Seed: 1, Duration: budget, Verbose: true, Out: &out}, workers, Invariants())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestRunWorkersMatchSequential(t *testing.T) {
 	var wantOut, wantRep []byte
 	for _, workers := range []int{1, 2, 4} {
 		var out, rep bytes.Buffer
-		sum, err := run(Options{Seed: 1, Points: 12, Verbose: true, Out: &out}, workers)
+		sum, err := run(Options{Seed: 1, Points: 12, Verbose: true, Out: &out}, workers, Invariants())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -176,7 +177,7 @@ func TestRunPointTimeoutAbandonsAndContinues(t *testing.T) {
 		// every point must be abandoned: no failures, no completed
 		// points, every seed recorded in seed order, and the sweep
 		// itself still terminates.
-		sum, err := run(Options{Seed: 1, Points: 3, PointTimeout: time.Nanosecond, Out: &out}, workers)
+		sum, err := run(Options{Seed: 1, Points: 3, PointTimeout: time.Nanosecond, Out: &out}, workers, Invariants())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,5 +222,42 @@ func TestRunGenerousPointTimeoutCompletes(t *testing.T) {
 	}
 	if sum.Points != 1 || !sum.Complete() {
 		t.Fatalf("Points=%d TimedOut=%d, want a completed sweep", sum.Points, len(sum.TimedOut))
+	}
+}
+
+// TestRunRemovesAbandonedPointDirs: a point abandoned at its timeout
+// while an invariant still holds a temp directory must not leave that
+// directory in $TMPDIR once the sweep returns.
+func TestRunRemovesAbandonedPointDirs(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	made, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	hold := Invariant{
+		Name:      "holds-a-dir",
+		Tolerance: "blocks until the test ends",
+		Check: func(p *Point) error {
+			_, err := p.tempDir("held")
+			close(made)
+			<-release
+			return err
+		},
+	}
+	sum, err := run(Options{Seed: 1, Points: 1, PointTimeout: 100 * time.Millisecond}, 1, []Invariant{hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.TimedOut) != 1 {
+		t.Fatalf("TimedOut = %v, want the one blocked point", sum.TimedOut)
+	}
+	// Whether the invariant made its directory before the sweep
+	// returned or tried after, nothing of it may be left.
+	<-made
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in $TMPDIR: %s", e.Name())
 	}
 }

@@ -503,7 +503,7 @@ func checkCacheHitIdentity(p *Point) error {
 	if err != nil {
 		return err
 	}
-	dir, err := os.MkdirTemp("", "hyve-cache-check")
+	dir, err := p.tempDir("hyve-cache-check")
 	if err != nil {
 		return err
 	}
@@ -550,16 +550,13 @@ func checkCacheHitIdentity(p *Point) error {
 	return nil
 }
 
-// checkV2LoadIdentity holds the prepared-container pipeline (PR 9) to
-// the generation contract: a graph round-tripped through a v2 container
-// — pre-partitioned grid sections included — must be
-// indistinguishable from the in-process instance. The point's graph is
-// compiled to a temp container at the P its own simulation will choose,
-// then loaded back through both readers (mmap via OpenV2 and the
-// streaming ReadV2). For each, the cache key must not move and a full
-// simulation over the loaded graph — whose grid comes from the stored
-// sections via the partition fast path — must encode to the same
-// canonical bytes as the fresh run.
+// checkV2LoadIdentity holds the prepared-container pipeline to the
+// generation contract: a graph round-tripped through a v2 container
+// must be indistinguishable from the in-process instance. The point's
+// graph is compiled to a temp container, then loaded back through both
+// readers (mmap via OpenV2 and the streaming ReadV2). For each, the
+// cache key must not move and a full simulation over the loaded graph
+// must encode to the same canonical bytes as the fresh run.
 func checkV2LoadIdentity(p *Point) error {
 	base, err := p.Sim()
 	if err != nil {
@@ -573,12 +570,8 @@ func checkV2LoadIdentity(p *Point) error {
 	if err != nil {
 		return err
 	}
-	gridP, err := core.ChoosePFor(p.Cfg, p.Workload)
-	if err != nil {
-		return err
-	}
 
-	dir, err := os.MkdirTemp("", "hyve-v2-check")
+	dir, err := p.tempDir("hyve-v2-check")
 	if err != nil {
 		return err
 	}
@@ -588,24 +581,11 @@ func checkV2LoadIdentity(p *Point) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w, err := graph.NewV2Writer(f, p.Graph.NumVertices, p.Graph.NumEdges())
+	err = graph.WriteV2(f, p.Graph, p.Seed)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		return err
-	}
-	if err := graph.WriteV2Into(w, p.Graph, p.Seed); err != nil {
-		return err
-	}
-	asg, err := partition.NewHashed(p.Graph.NumVertices, gridP)
-	if err != nil {
-		return err
-	}
-	// A 1-byte budget forces the spilled-run path, so the check also
-	// covers the bounded-memory builder's layout identity.
-	if err := partition.StreamGridInto(w, p.Graph, asg, partition.StreamOptions{BudgetBytes: 1, TmpDir: dir}); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
 		return err
 	}
 

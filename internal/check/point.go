@@ -11,6 +11,7 @@ package check
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/algo"
 	"repro/internal/core"
@@ -29,10 +30,22 @@ type Point struct {
 	Cfg       core.Config
 	Workload  core.Workload
 
+	// tmp is the directory the point's invariants make their own
+	// directories in; "" means os.TempDir.
+	tmp string
+
 	machine    *core.Machine
 	machineErr error
 	flat       *algo.Result
 	flatErr    error
+}
+
+// tempDir makes a fresh directory for an invariant's files. Inside a
+// sweep it lies in the sweep's directory, which the sweep removes when
+// it returns, so the directory of a point abandoned at its timeout goes
+// with it.
+func (p *Point) tempDir(pattern string) (string, error) {
+	return os.MkdirTemp(p.tmp, pattern)
 }
 
 // Machine memoizes the assembled simulator of the point: the cost run

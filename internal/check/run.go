@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -89,16 +90,22 @@ func (s *Summary) Complete() bool { return len(s.TimedOut) == 0 }
 // one point always runs, even under an expired duration budget, so a
 // sweep can never vacuously pass.
 func Run(opt Options) (*Summary, error) {
-	return run(opt, parallel.Workers(0))
+	return run(opt, parallel.Workers(0), Invariants())
 }
 
-// run is Run on the given number of workers.
-func run(opt Options, workers int) (*Summary, error) {
+// run is Run on the given number of workers and invariants. The
+// invariants' files go in one directory that run removes when it
+// returns, points it abandoned at the timeout included.
+func run(opt Options, workers int, invs []Invariant) (*Summary, error) {
 	out := opt.Out
 	if out == nil {
 		out = io.Discard
 	}
-	invs := Invariants()
+	tmp, err := os.MkdirTemp("", "hyve-check")
+	if err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	defer os.RemoveAll(tmp)
 	sum := &Summary{Invariants: make([]InvariantSummary, len(invs))}
 	for i, inv := range invs {
 		sum.Invariants[i] = InvariantSummary{Name: inv.Name, Tolerance: inv.Tolerance}
@@ -166,7 +173,7 @@ func run(opt Options, workers int) (*Summary, error) {
 				cancel()
 				return nil
 			}
-			res, err := runPointWithTimeout(opt.Seed+uint64(i), invs, opt.PointTimeout, &dumped)
+			res, err := runPointWithTimeout(opt.Seed+uint64(i), invs, tmp, opt.PointTimeout, &dumped)
 			if err != nil {
 				cancel()
 			}
@@ -217,18 +224,20 @@ type indexedFailure struct {
 	invIndex int
 }
 
-// runPoint builds the seed's point and runs every applicable invariant.
-// Each invariant's wall time feeds a labeled histogram
+// runPoint builds the seed's point and runs every applicable invariant;
+// the invariants make their directories in tmp. Each invariant's wall
+// time feeds a labeled histogram
 // ("check.invariant.seconds"|invariant=<name>), so a sweep's slowest
 // invariants are visible on /metrics, and point lifecycle events land in
 // the flight recorder for the timeout dump.
-func runPoint(seed uint64, invs []Invariant) (*pointResult, error) {
+func runPoint(seed uint64, invs []Invariant, tmp string) (*pointResult, error) {
 	rec := obs.Default()
 	obs.Flight().Record("check.point.start", strconv.FormatUint(seed, 10))
 	p, err := NewPoint(seed)
 	if err != nil {
 		return nil, fmt.Errorf("check: building point for seed %d: %w", seed, err)
 	}
+	p.tmp = tmp
 	res := &pointResult{point: p.String(), runs: make([]int, len(invs))}
 	for j := range invs {
 		inv := &invs[j]
@@ -261,9 +270,9 @@ func runPoint(seed uint64, invs []Invariant) (*pointResult, error) {
 // sweep's first timeout dumps the flight ring (dumped guards it): the
 // ring is process-wide, so every later dump would repeat the first.
 // Later timeouts still record their flight event and TIMEOUT line.
-func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration, dumped *sync.Once) (*pointResult, error) {
+func runPointWithTimeout(seed uint64, invs []Invariant, tmp string, limit time.Duration, dumped *sync.Once) (*pointResult, error) {
 	if limit <= 0 {
-		return runPoint(seed, invs)
+		return runPoint(seed, invs, tmp)
 	}
 	type outcome struct {
 		res *pointResult
@@ -271,7 +280,7 @@ func runPointWithTimeout(seed uint64, invs []Invariant, limit time.Duration, dum
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		r, err := runPoint(seed, invs)
+		r, err := runPoint(seed, invs, tmp)
 		ch <- outcome{r, err}
 	}()
 	timer := time.NewTimer(limit)

@@ -315,11 +315,8 @@ func (s *machine) edgeGrid() *partition.Grid {
 
 // ChoosePFor returns the interval count the simulator will partition
 // w's graph into under cfg — the same decision newSim makes, exposed so
-// offline tooling (hyve-prep -grid auto) can pre-partition a container
-// at exactly the P a later simulation will request, which spares the
-// edge-walking paths their grid build through BuildParallel's prepared
-// fast path, and so callers that need only P (the analytic models) do
-// not assemble a machine to learn it.
+// callers that need only P (the analytic models) do not assemble a
+// machine to learn it.
 func ChoosePFor(cfg Config, w Workload) (int, error) {
 	if cfg.UseOnChipSRAM {
 		// P from full-scale vertices so partition counts match the

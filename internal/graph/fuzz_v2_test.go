@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -107,13 +108,17 @@ func TestReadV2HostileInputs(t *testing.T) {
 		{"unknown-flags", func(b []byte) { put32(b, 8, 0x80) }},
 		// Bit 1 marked the retired compressed-CSR sections.
 		{"csr-flag", func(b []byte) { put32(b, 8, binary.LittleEndian.Uint32(b[8:])|1<<1) }},
+		// Bit 2 marked a stored partition grid, also retired.
+		{"grid-flag", func(b []byte) { put32(b, 8, binary.LittleEndian.Uint32(b[8:])|1<<2) }},
 		{"huge-verts", func(b []byte) { put64(b, 16, 1<<40) }},
 		{"huge-edges", func(b []byte) { put64(b, 24, 1<<40) }},
 		{"table-out-of-file", func(b []byte) { put64(b, 32, uint64(len(b))) }},
 		{"table-misaligned", func(b []byte) { put64(b, 32, tableOff+3) }},
 		{"too-many-sections", func(b []byte) { put32(b, 12, v2MaxSections+1) }},
 		{"nonzero-reserved", func(b []byte) { put64(b, 80, 4096) }},
+		// Words 40 and 44 held the retired grid's P and interval kind.
 		{"grid-p-without-flag", func(b []byte) { put32(b, 40, 5) }},
+		{"grid-kind-word", func(b []byte) { put32(b, 44, 1) }},
 		{"section-misaligned", func(b []byte) { put64(b, entryOff(0)+8, 4096+8) }},
 		{"section-past-eof", func(b []byte) { put64(b, entryOff(0)+16, uint64(len(b))) }},
 		{"section-count-mismatch", func(b []byte) { put64(b, entryOff(0)+24, 1) }},
@@ -135,6 +140,14 @@ func TestReadV2HostileInputs(t *testing.T) {
 		{"truncated", func(b []byte) {}}, // handled below: data[:100]
 		{"missing-section", func(b []byte) { put32(b, 12, nSecs-1) }},
 	}
+	// The retired-format cases must say why they are refused.
+	wantErr := map[string]string{
+		"csr-flag":            "unknown flag bits 0x2",
+		"grid-flag":           "unknown flag bits 0x4",
+		"nonzero-reserved":    "reserved header word at offset 80",
+		"grid-p-without-flag": "reserved header word at offset 40",
+		"grid-kind-word":      "reserved header word at offset 40",
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := append([]byte(nil), valid...)
@@ -142,11 +155,14 @@ func TestReadV2HostileInputs(t *testing.T) {
 			if tc.name == "truncated" {
 				data = data[:100]
 			}
-			if _, err := parseV2Bytes(data, false); err == nil {
-				t.Errorf("parseV2Bytes accepted %s", tc.name)
-			}
-			if _, err := ReadV2(bytes.NewReader(data), int64(len(data))); err == nil {
-				t.Errorf("ReadV2 accepted %s", tc.name)
+			_, errA := parseV2Bytes(data, false)
+			_, errB := ReadV2(bytes.NewReader(data), int64(len(data)))
+			for reader, err := range map[string]error{"parseV2Bytes": errA, "ReadV2": errB} {
+				if err == nil {
+					t.Errorf("%s accepted %s", reader, tc.name)
+				} else if !strings.Contains(err.Error(), wantErr[tc.name]) {
+					t.Errorf("%s: error %q does not say %q", reader, err, wantErr[tc.name])
+				}
 			}
 		})
 	}

@@ -60,37 +60,6 @@ type Graph struct {
 	// edgeMemos is the EdgeMemo table of the edge array, shared with
 	// every graph that aliases Edges; nil until first use.
 	edgeMemos *memoTable
-
-	// prep, when non-nil, is the pre-partitioned grid payload attached by
-	// the v2 container this graph was materialized from (see v2read.go).
-	// It is provenance, not topology: Clone deliberately drops it.
-	prep *preparedGrid
-}
-
-// preparedGrid carries a container's grid sections alongside the graph
-// so partition.BuildParallel can return the stored layout instead of
-// rebuilding when its assigner matches. The stored order is exactly
-// BuildParallel's stable counting-sort order, so taking the fast path
-// never changes a single result byte.
-type preparedGrid struct {
-	p          int
-	contiguous bool // interval kind: contiguous ranges vs hashed (v mod P)
-	offsets    []int64
-	edges      []Edge
-	weights    []float32
-}
-
-// PreparedGrid returns the container-attached grid payload when its
-// shape matches the request exactly: same interval count, same interval
-// kind, and weights present iff the caller needs them. The slices alias
-// container storage (possibly a read-only mmap) and must not be
-// modified. ok is false for graphs without an attached container grid.
-func (g *Graph) PreparedGrid(p int, contiguous, weighted bool) (offsets []int64, edges []Edge, weights []float32, ok bool) {
-	pg := g.prep
-	if pg == nil || pg.p != p || pg.contiguous != contiguous || weighted != (pg.weights != nil) {
-		return nil, nil, nil, false
-	}
-	return pg.offsets, pg.edges, pg.weights, true
 }
 
 // NumEdges returns the number of directed edges.
@@ -160,9 +129,9 @@ func (g *Graph) InDegrees() []uint32 {
 // Clone returns a deep copy of the graph, the one way to get a graph a
 // caller may mutate (e.g. SortEdges) out of a shared one. Nothing
 // derived from the original is copied: not its memos, and not its
-// container provenance (the prepared-grid payload), which a mutation
-// would desynchronize from the stored layout. To add weights, use
-// WithUniformWeights, which copies nothing.
+// backing storage, which for a graph loaded from a v2 container may be
+// a read-only mapping. To add weights, use WithUniformWeights, which
+// copies nothing.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{NumVertices: g.NumVertices, Edges: append([]Edge(nil), g.Edges...)}
 	if g.Weights != nil {

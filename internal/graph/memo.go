@@ -100,8 +100,7 @@ type weightsKey struct {
 // equals that of a weighted Clone. It is memoized on g per (maxWeight,
 // seed): every call returns the same instance, and with it the same
 // digest and functional memos. It is meant for unweighted graphs; g's
-// own weights are not carried over. Container provenance is dropped, as
-// the stored grid has other weights or none.
+// own weights are not carried over.
 func (g *Graph) WithUniformWeights(maxWeight float32, seed uint64) *Graph {
 	v, _ := g.Memo(weightsKey{maxWeight, seed}, func() (any, error) {
 		return &Graph{NumVertices: g.NumVertices, Edges: g.Edges,

@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// MapFile is unsupported on this platform; callers fall back to
-// streaming reads (OpenV2 → ReadV2, StreamBuild → heap readback).
-func MapFile(f *os.File) ([]byte, func() error, error) {
+// mapFile is unsupported on this platform; OpenV2 falls back to
+// ReadV2's streaming reads.
+func mapFile(f *os.File) ([]byte, func() error, error) {
 	return nil, nil, errors.ErrUnsupported
 }

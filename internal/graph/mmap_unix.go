@@ -8,12 +8,11 @@ import (
 	"syscall"
 )
 
-// MapFile maps f read-only and returns the mapping plus its unmap
+// mapFile maps f read-only and returns the mapping plus its unmap
 // function. The mapping outlives f (closing the file descriptor does
 // not tear down an established mapping), so callers may close f
-// immediately. Errors fall back to streaming reads in OpenV2 and
-// partition.StreamBuild.
-func MapFile(f *os.File) ([]byte, func() error, error) {
+// immediately. On error OpenV2 falls back to ReadV2's streaming reads.
+func mapFile(f *os.File) ([]byte, func() error, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, nil, err

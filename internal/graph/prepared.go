@@ -13,8 +13,8 @@ import (
 // the edge list in exact generation order and carries the content
 // digest, a prepared load is bit-identical to generating — same graph
 // bytes, same cache.PointDigest, same simulation results — just without
-// paying the R-MAT walk or the partition build (when grid sections are
-// present). The v2-load-identity invariant in internal/check pins this.
+// paying the R-MAT walk. The v2-load-identity invariant in
+// internal/check pins this.
 
 var (
 	preparedMu  sync.Mutex

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -154,40 +155,49 @@ func TestPreparedLoadRejectsWrongSize(t *testing.T) {
 }
 
 // TestPreparedLoadNamesRegenerateCommand: a container the reader itself
-// refuses (here one carrying an unknown header flag, as a file from an
-// older writer does) must fail with the command that regenerates it,
-// like every other rejection on this path.
+// refuses must fail with the reason and the command that regenerates it,
+// like every other rejection on this path. Flag bits 1 and 2 are the
+// ones older writers set: a compressed CSR and a stored partition grid.
 func TestPreparedLoadNamesRegenerateCommand(t *testing.T) {
 	d := prepTestDataset("ZR", 0x5656)
 	g, err := d.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := d.PreparedPath(dir)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteV2(f, g, d.Seed); err != nil {
-		t.Fatal(err)
-	}
-	var flags [4]byte
-	if _, err := f.ReadAt(flags[:], 8); err != nil {
-		t.Fatal(err)
-	}
-	flags[0] |= 1 << 1
-	if _, err := f.WriteAt(flags[:], 8); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, bit := range []uint{1, 2} {
+		t.Run(fmt.Sprintf("bit%d", bit), func(t *testing.T) {
+			dir := t.TempDir()
+			path := d.PreparedPath(dir)
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteV2(f, g, d.Seed); err != nil {
+				t.Fatal(err)
+			}
+			var flags [4]byte
+			if _, err := f.ReadAt(flags[:], 8); err != nil {
+				t.Fatal(err)
+			}
+			flags[0] |= 1 << bit
+			if _, err := f.WriteAt(flags[:], 8); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	resetPrepared(t, dir, d)
-	_, err = d.Load()
-	if err == nil {
-		t.Fatal("container with an unknown flag loaded")
-	}
-	if want := "hyve-prep -dataset ZR -out " + path; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error does not name %q: %v", want, err)
+			resetPrepared(t, dir, d)
+			_, err = d.Load()
+			if err == nil {
+				t.Fatal("container with an unknown flag loaded")
+			}
+			for _, want := range []string{
+				fmt.Sprintf("unknown flag bits %#x", 1<<bit),
+				"hyve-prep -dataset ZR -out " + path,
+			} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error does not say %q: %v", want, err)
+				}
+			}
+		})
 	}
 }

@@ -40,16 +40,12 @@ func reinterpret[T any](b []byte) ([]T, bool) {
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/int(unsafe.Sizeof(t))), true
 }
 
-// EdgesFromBytes views b (little-endian {src u32, dst u32} records) as
+// edgesFromBytes views b (little-endian {src u32, dst u32} records) as
 // an Edge slice without copying. ok is false when the host byte order or
 // the slice's alignment makes the view invalid; callers must then decode.
 // The view aliases b: it is read-only if b is (e.g. a PROT_READ mmap).
-func EdgesFromBytes(b []byte) ([]Edge, bool) { return reinterpret[Edge](b) }
+func edgesFromBytes(b []byte) ([]Edge, bool) { return reinterpret[Edge](b) }
 
-// Float32sFromBytes views b as a []float32 without copying (same
-// contract as EdgesFromBytes).
-func Float32sFromBytes(b []byte) ([]float32, bool) { return reinterpret[float32](b) }
-
-// Int64sFromBytes views b as a []int64 without copying (same contract
-// as EdgesFromBytes).
-func Int64sFromBytes(b []byte) ([]int64, bool) { return reinterpret[int64](b) }
+// float32sFromBytes views b as a []float32 without copying (same
+// contract as edgesFromBytes).
+func float32sFromBytes(b []byte) ([]float32, bool) { return reinterpret[float32](b) }

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -181,7 +181,7 @@ func TestV2ZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, unmap, err := MapFile(f); err != nil {
+	if _, unmap, err := mapFile(f); err != nil {
 		t.Skipf("no mmap on this host: %v", err)
 	} else {
 		unmap()
@@ -268,28 +268,35 @@ func TestV2LoadAllocs(t *testing.T) {
 	}
 }
 
-func TestWriteV2IntoGridSectionsRejected(t *testing.T) {
-	// BeginSection must reject unknown interleavings that would corrupt
-	// the table: duplicate sections and too many sections.
-	var buf bytes.Buffer
-	_ = buf
-	path := filepath.Join(t.TempDir(), "dup.hyve2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w, err := NewV2Writer(f, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.BeginSection(SecEdges); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndSection(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.BeginSection(SecEdges); err == nil {
-		t.Fatalf("duplicate section accepted")
+// TestWriteV2WritesEachSectionOnce pins the table WriteV2 writes: the
+// edge section, then the weight section iff the graph is weighted, each
+// kind once, at page-aligned offsets, and the header's section count
+// and weighted flag agreeing with it.
+func TestWriteV2WritesEachSectionOnce(t *testing.T) {
+	graphs := testGraphs(t)
+	for name, want := range map[string][]uint32{
+		"rmat":     {secEdges},
+		"weighted": {secEdges, secWeights},
+		"edgeless": {secEdges},
+	} {
+		data := validV2(t, graphs[name], 0)
+		flags := binary.LittleEndian.Uint32(data[8:])
+		nSecs := binary.LittleEndian.Uint32(data[12:])
+		tableOff := binary.LittleEndian.Uint64(data[32:])
+		if int(nSecs) != len(want) {
+			t.Fatalf("%s: %d sections, want %d", name, nSecs, len(want))
+		}
+		if weighted := flags&v2FlagWeighted != 0; weighted != (len(want) == 2) || flags&^v2FlagWeighted != 0 {
+			t.Errorf("%s: flags %#x", name, flags)
+		}
+		for i, kind := range want {
+			e := data[tableOff+uint64(i)*v2EntrySize:]
+			if got := binary.LittleEndian.Uint32(e[0:]); got != kind {
+				t.Errorf("%s: entry %d is %s, want %s", name, i, secName(got), secName(kind))
+			}
+			if off := binary.LittleEndian.Uint64(e[8:]); off%V2Align != 0 {
+				t.Errorf("%s: %s at misaligned offset %d", name, secName(kind), off)
+			}
+		}
 	}
 }

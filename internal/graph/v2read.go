@@ -16,30 +16,25 @@ type v2Header struct {
 	nVerts   uint64
 	nEdges   uint64
 	tableOff uint64
-	gridP    uint32
-	gridKind uint32
 	digest   [32]byte
 	seed     uint64
 }
 
-// Container is an opened v2 file: the graph (and optional
-// pre-partitioned grid) views over either a read-only mmap
-// (zero-copy) or decoded heap copies (the streaming fallback). Close
-// releases the mapping; every slice handed out becomes invalid after
-// Close on the zero-copy path, so containers backing long-lived graphs
-// (the prepared-dataset path) stay open for the process lifetime.
+// Container is an opened v2 file: the graph's views over either a
+// read-only mmap (zero-copy) or decoded heap copies (the streaming
+// fallback). Close releases the mapping; every slice handed out becomes
+// invalid after Close on the zero-copy path, so containers backing
+// long-lived graphs (the prepared-dataset path) stay open for the
+// process lifetime.
 type Container struct {
 	hdr   v2Header
 	zero  bool
 	unmap func() error
 
-	g    *Graph
-	grid *preparedGrid
+	g *Graph
 }
 
-// Graph returns the materialized graph. When the container carries grid
-// sections the graph has them attached, so partition.BuildParallel with
-// a matching assigner returns the stored layout without building.
+// Graph returns the materialized graph.
 func (c *Container) Graph() *Graph { return c.g }
 
 // Digest returns the header's content digest (graph.ContentDigest of
@@ -53,24 +48,6 @@ func (c *Container) Seed() uint64 { return c.hdr.seed }
 // ZeroCopy reports whether the container's slices alias a read-only
 // mmap (true) or decoded heap copies (false).
 func (c *Container) ZeroCopy() bool { return c.zero }
-
-// GridP returns the stored grid's interval count, 0 if no grid.
-func (c *Container) GridP() int {
-	if c.grid == nil {
-		return 0
-	}
-	return c.grid.p
-}
-
-// GridParts exposes the stored grid payload (offsets/edges/weights and
-// geometry) for verifier paths. ok is false without grid sections. The
-// slices must be treated as read-only.
-func (c *Container) GridParts() (offsets []int64, edges []Edge, weights []float32, p int, contiguous bool, ok bool) {
-	if c.grid == nil {
-		return nil, nil, nil, 0, false, false
-	}
-	return c.grid.offsets, c.grid.edges, c.grid.weights, c.grid.p, c.grid.contiguous, true
-}
 
 // Close releases the container's resources. On the zero-copy path this
 // unmaps the file: the graph and every derived slice must not be used
@@ -108,11 +85,12 @@ func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
 	h.nVerts = binary.LittleEndian.Uint64(b[16:])
 	h.nEdges = binary.LittleEndian.Uint64(b[24:])
 	h.tableOff = binary.LittleEndian.Uint64(b[32:])
-	h.gridP = binary.LittleEndian.Uint32(b[40:])
-	h.gridKind = binary.LittleEndian.Uint32(b[44:])
 	copy(h.digest[:], b[48:80])
-	if r := binary.LittleEndian.Uint64(b[80:]); r != 0 {
-		return h, fmt.Errorf("graph: v2: reserved header word is %#x, want 0", r)
+	// Words 40 and 44 once held a stored grid's P and interval kind.
+	for _, off := range []int{40, 80} {
+		if r := binary.LittleEndian.Uint64(b[off:]); r != 0 {
+			return h, fmt.Errorf("graph: v2: reserved header word at offset %d is %#x, want 0", off, r)
+		}
 	}
 	h.seed = binary.LittleEndian.Uint64(b[88:])
 
@@ -127,16 +105,6 @@ func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
 		return h, fmt.Errorf("graph: v2: section table [%d,+%d×%d) outside file of %d bytes",
 			h.tableOff, h.nSecs, v2EntrySize, fileSize)
 	}
-	if h.flags&v2FlagGrid != 0 {
-		if h.gridP == 0 || uint64(h.gridP)*uint64(h.gridP) > v2MaxReasonable {
-			return h, fmt.Errorf("graph: v2: implausible grid P %d", h.gridP)
-		}
-		if h.gridKind != v2GridHashed && h.gridKind != v2GridContiguous {
-			return h, fmt.Errorf("graph: v2: unknown grid kind %d", h.gridKind)
-		}
-	} else if h.gridP != 0 {
-		return h, fmt.Errorf("graph: v2: grid P %d without grid flag", h.gridP)
-	}
 	return h, nil
 }
 
@@ -144,9 +112,9 @@ func parseV2Header(b []byte, fileSize uint64) (v2Header, error) {
 // the format does not define (the flag cross-check rejects it).
 func v2ElemSize(kind uint32) uint64 {
 	switch kind {
-	case SecEdges, SecGridEdg, SecGridOff:
+	case secEdges:
 		return 8
-	case SecWeights, SecGridWgt:
+	case secWeights:
 		return 4
 	}
 	return 0
@@ -201,16 +169,9 @@ func parseV2Table(tb []byte, h v2Header, fileSize uint64) (map[uint32]v2Section,
 	}
 
 	// The header flags and the section set must agree exactly.
-	want := map[uint32]uint64{SecEdges: h.nEdges}
+	want := map[uint32]uint64{secEdges: h.nEdges}
 	if h.flags&v2FlagWeighted != 0 {
-		want[SecWeights] = h.nEdges
-	}
-	if h.flags&v2FlagGrid != 0 {
-		want[SecGridOff] = uint64(h.gridP)*uint64(h.gridP) + 1
-		want[SecGridEdg] = h.nEdges
-		if h.flags&v2FlagWeighted != 0 {
-			want[SecGridWgt] = h.nEdges
-		}
+		want[secWeights] = h.nEdges
 	}
 	if len(secs) != len(want) {
 		return nil, fmt.Errorf("graph: v2: %d sections, header flags imply %d", len(secs), len(want))
@@ -237,16 +198,15 @@ type sectionBytes func(s v2Section) ([]byte, error)
 // zeroCopy, raw sections are reinterpreted in place when alignment and
 // byte order allow; otherwise (and always on the streaming path) they
 // are decoded into exact-size heap slices. All semantic validation —
-// edge ranges, grid offset monotonicity, weight finiteness — runs here,
-// once, regardless of path.
+// edge ranges, weight finiteness — runs here, once, regardless of path.
 func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zeroCopy bool) (*Container, error) {
 	c := &Container{hdr: h, zero: zeroCopy}
 
-	edgeBytes, err := get(secs[SecEdges])
+	edgeBytes, err := get(secs[secEdges])
 	if err != nil {
 		return nil, err
 	}
-	edges, ok := EdgesFromBytes(edgeBytes)
+	edges, ok := edgesFromBytes(edgeBytes)
 	if !ok || !zeroCopy {
 		edges = decodeEdges(edgeBytes)
 		c.zero = false
@@ -254,11 +214,11 @@ func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zer
 	g := &Graph{NumVertices: int(h.nVerts), Edges: edges}
 
 	if h.flags&v2FlagWeighted != 0 {
-		wb, err := get(secs[SecWeights])
+		wb, err := get(secs[secWeights])
 		if err != nil {
 			return nil, err
 		}
-		weights, ok := Float32sFromBytes(wb)
+		weights, ok := float32sFromBytes(wb)
 		if !ok || !zeroCopy {
 			weights = decodeFloat32s(wb)
 			c.zero = false
@@ -274,67 +234,6 @@ func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zer
 		return nil, err
 	}
 	c.g = g
-
-	if h.flags&v2FlagGrid != 0 {
-		goffB, err := get(secs[SecGridOff])
-		if err != nil {
-			return nil, err
-		}
-		gedgB, err := get(secs[SecGridEdg])
-		if err != nil {
-			return nil, err
-		}
-		goff, ok := Int64sFromBytes(goffB)
-		if !ok || !zeroCopy {
-			goff = decodeInt64s(goffB)
-			c.zero = false
-		}
-		gedges, ok := EdgesFromBytes(gedgB)
-		if !ok || !zeroCopy {
-			gedges = decodeEdges(gedgB)
-			c.zero = false
-		}
-		for i := 1; i < len(goff); i++ {
-			if goff[i] < goff[i-1] {
-				return nil, fmt.Errorf("graph: v2: GOFF not monotone at block %d", i)
-			}
-		}
-		if goff[0] != 0 || goff[len(goff)-1] != int64(h.nEdges) {
-			return nil, fmt.Errorf("graph: v2: GOFF spans [%d,%d], want [0,%d]",
-				goff[0], goff[len(goff)-1], h.nEdges)
-		}
-		for i, e := range gedges {
-			if uint64(e.Src) >= h.nVerts || uint64(e.Dst) >= h.nVerts {
-				return nil, fmt.Errorf("graph: v2: grid edge %d (%d->%d) out of range [0,%d)",
-					i, e.Src, e.Dst, h.nVerts)
-			}
-		}
-		pg := &preparedGrid{
-			p:          int(h.gridP),
-			contiguous: h.gridKind == v2GridContiguous,
-			offsets:    goff,
-			edges:      gedges,
-		}
-		if h.flags&v2FlagWeighted != 0 {
-			gwB, err := get(secs[SecGridWgt])
-			if err != nil {
-				return nil, err
-			}
-			gw, ok := Float32sFromBytes(gwB)
-			if !ok || !zeroCopy {
-				gw = decodeFloat32s(gwB)
-				c.zero = false
-			}
-			for i, w := range gw {
-				if f := float64(w); math.IsNaN(f) || math.IsInf(f, 0) {
-					return nil, fmt.Errorf("graph: v2: grid weight %d is non-finite (%v)", i, w)
-				}
-			}
-			pg.weights = gw
-		}
-		c.grid = pg
-		g.prep = pg
-	}
 	return c, nil
 }
 
@@ -353,14 +252,6 @@ func decodeFloat32s(b []byte) []float32 {
 	out := make([]float32, len(b)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func decodeInt64s(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out
 }
@@ -432,7 +323,7 @@ func OpenV2(path string) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	if data, unmap, merr := MapFile(f); merr == nil {
+	if data, unmap, merr := mapFile(f); merr == nil {
 		c, err := parseV2Bytes(data, true)
 		if err != nil {
 			_ = unmap()

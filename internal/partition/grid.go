@@ -49,25 +49,6 @@ func BuildParallel(g *graph.Graph, a Assigner, workers int) (*Grid, error) {
 	nb := p * p
 	ne := len(g.Edges)
 
-	// Prepared fast path: a graph loaded from a v2 container may carry
-	// the stored grid layout. When the requested partitioning matches it
-	// exactly — same P, same assignment family, same weightedness — the
-	// stored layout IS the layout this build would produce (StreamGridInto
-	// and BuildParallel are byte-identical by construction, pinned by the
-	// stream tests), so return it without touching the edge list. Only
-	// the two production assigners qualify; a custom Assigner could
-	// disagree with the stored family even at equal P.
-	switch a.(type) {
-	case *Hashed:
-		if off, edges, w, ok := g.PreparedGrid(p, false, g.Weights != nil); ok {
-			return &Grid{Assigner: a, edges: edges, weights: w, offsets: off}, nil
-		}
-	case *Contiguous:
-		if off, edges, w, ok := g.PreparedGrid(p, true, g.Weights != nil); ok {
-			return &Grid{Assigner: a, edges: edges, weights: w, offsets: off}, nil
-		}
-	}
-
 	// Pass 1: per-chunk histograms, memoizing each edge's block id so the
 	// scatter pass does not recompute the two interval divisions.
 	ids := make([]int32, ne)
@@ -278,26 +259,6 @@ func blockIDs(a Assigner, edges []graph.Edge, ids []int32) {
 			ids[i] = int32(blockID(a, e))
 		}
 	}
-}
-
-// GridFromParts assembles a Grid directly from pre-built storage —
-// offsets delimiting p²+1 block boundaries over edges (and optional
-// per-edge weights). Used by the streaming builder's readback path and
-// by verifiers over v2 container grid sections. The slices are aliased,
-// not copied, and must be treated as read-only.
-func GridFromParts(a Assigner, offsets []int64, edges []graph.Edge, weights []float32) (*Grid, error) {
-	nb := a.P() * a.P()
-	if len(offsets) != nb+1 {
-		return nil, fmt.Errorf("partition: %d offsets for %d blocks", len(offsets), nb)
-	}
-	if offsets[0] != 0 || offsets[nb] != int64(len(edges)) {
-		return nil, fmt.Errorf("partition: offsets span [%d,%d], edges span [0,%d]",
-			offsets[0], offsets[nb], len(edges))
-	}
-	if weights != nil && len(weights) != len(edges) {
-		return nil, fmt.Errorf("partition: %d weights for %d edges", len(weights), len(edges))
-	}
-	return &Grid{Assigner: a, edges: edges, weights: weights, offsets: offsets}, nil
 }
 
 // BuildBuckets partitions g with per-block dynamic arrays (append-based),

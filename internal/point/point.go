@@ -1,10 +1,10 @@
 // Package point is the one place a simulation point is named, indexed
 // and run. A point is a (dataset, algorithm, configuration) coordinate
 // plus an optional on-chip SRAM override; a sweep is the dataset-major
-// cross product of three name lists. hyve-sim, hyve-trace, hyve-prep
-// and hyve-serve all resolve names here, so a configuration added to
-// the registry shows up in every CLI and in the wire API, and a point
-// run through Run yields the same canonical bytes wherever it runs.
+// cross product of three name lists. hyve-sim, hyve-trace and
+// hyve-serve all resolve names here, so a configuration added to the
+// registry shows up in every CLI and in the wire API, and a point run
+// through Run yields the same canonical bytes wherever it runs.
 //
 // The analytic graphr/cpu baselines are not registered: they have no
 // core.Config and no canonical result document, and only hyve-sim runs
