@@ -5,9 +5,12 @@ package repro
 // BenchmarkDatasetGenerate; a prepared container's load against
 // regeneration, each followed by the count pass a point runs; the grid
 // build of the edge walks and that count-only pass, BenchmarkBlockOffsets;
-// simulation; GraphR's crossbar emulation; dynamic updates). End-to-end
-// numbers — every paper experiment, sweeps, the service — come from the
-// repository benchmark under bench/.
+// GraphR's 8×8 blocks, grouped by one sort of block keys: the occupancy
+// count behind Table 1, BenchmarkBlockOccupancy, and Fig. 20's store
+// load, BenchmarkGraphRStoreBuild; simulation; GraphR's crossbar
+// emulation; dynamic updates). End-to-end numbers — every paper
+// experiment, sweeps, the service — come from the repository benchmark
+// under bench/.
 //
 // Run everything with:
 //
@@ -168,6 +171,47 @@ func BenchmarkBlockOffsets(b *testing.B) {
 			b.ReportMetric(float64(g.NumEdges()), "edges/op")
 		})
 	}
+}
+
+// BenchmarkBlockOccupancy counts each Table 2 instance's non-empty 8×8
+// blocks, as Table 1 does. ComputeOccupancy memoizes on the edge array,
+// so every iteration counts through a fresh graph over the same edges.
+func BenchmarkBlockOccupancy(b *testing.B) {
+	for _, d := range graph.Datasets {
+		g, err := d.Load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(d.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fresh := &graph.Graph{NumVertices: g.NumVertices, Edges: g.Edges}
+				if _, err := partition.ComputeOccupancy(fresh, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(g.NumEdges()), "edges/op")
+		})
+	}
+}
+
+// BenchmarkGraphRStoreBuild is Fig. 20's untimed set-up: YT loaded into
+// GraphR's 8×8 block directory.
+func BenchmarkGraphRStoreBuild(b *testing.B) {
+	d, err := graph.DatasetByName("YT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dynamic.NewGraphRStore(g, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumEdges()), "edges/op")
 }
 
 func BenchmarkEdgeCentricIteration(b *testing.B) {

@@ -84,7 +84,7 @@ func New(c Config) *Scheduler {
 		inflight: make(map[Digest]*flight),
 	}
 	if c.Dir != "" {
-		s.disk = &store{dir: c.Dir}
+		s.disk = newStore(c.Dir)
 	}
 	s.run = s.runPoint
 	return s

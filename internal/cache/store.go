@@ -3,8 +3,10 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -57,8 +59,18 @@ type diskDoc struct {
 // atomic (obs.WriteAtomic: temp + fsync + rename), so a process killed
 // mid-write leaves only a stray temp file readers never look at — any
 // file that exists under its final name decodes or is treated as a miss.
+// The root is created once, by newStore; a put never recreates it, so a
+// removed root stays removed and the store then only misses.
 type store struct {
 	dir string
+}
+
+// newStore opens the store rooted at dir, creating the root if it does
+// not exist yet. A root that cannot be created is not fatal: every put
+// then fails, and the store degrades to misses.
+func newStore(dir string) *store {
+	_ = os.MkdirAll(dir, 0o755)
+	return &store{dir: dir}
 }
 
 func (s *store) path(d Digest) string {
@@ -100,7 +112,7 @@ func (s *store) put(d Digest, r *core.Result) error {
 		return err
 	}
 	path := s.path(d)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return fmt.Errorf("cache: %w", err)
 	}
 	doc := diskDoc{Schema: ResultSchema, Digest: d.String(), Result: bytes.TrimRight(payload, "\n")}

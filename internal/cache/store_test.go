@@ -2,6 +2,8 @@ package cache
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -163,5 +165,30 @@ func TestStoreRejectsForeignDocuments(t *testing.T) {
 	write(bytes.Replace(moved, []byte(ResultSchema), []byte("hyve/result/v0"), 1))
 	if _, ok := s.get(d); ok {
 		t.Error("wrong-schema document reported as a hit")
+	}
+}
+
+// A put never recreates a removed root: it fails, and nothing appears
+// where the root was. A hyve-check point abandoned past its timeout used
+// to recreate its swept-away cache directory this way. A root that does
+// not exist yet is still created, once, by New.
+func TestPutDoesNotRecreateRemovedRoot(t *testing.T) {
+	d, r := testResult(t)
+	root := filepath.Join(t.TempDir(), "not", "yet", "cache")
+	s := New(Config{Dir: root})
+	if err := s.disk.put(d, r); err != nil {
+		t.Fatalf("put under a root New created: %v", err)
+	}
+	if _, ok := s.disk.get(d); !ok {
+		t.Fatal("stored result missing")
+	}
+	if err := os.RemoveAll(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.disk.put(d, r); err == nil {
+		t.Error("put under a removed root succeeded")
+	}
+	if _, err := os.Stat(root); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("removed root reappeared after a put (stat: %v)", err)
 	}
 }

@@ -509,7 +509,12 @@ func checkCacheHitIdentity(p *Point) error {
 	}
 	defer os.RemoveAll(dir)
 
+	// Both schedulers open the store now, while dir surely exists:
+	// cache.New creates a missing root, so opening the cold one after
+	// the execution would recreate dir if the sweep had abandoned this
+	// point and removed its directory meanwhile.
 	warm := cache.New(cache.Config{Dir: dir})
+	cold := cache.New(cache.Config{Dir: dir})
 	executed, err := warm.Simulate(p.Cfg, p.Workload)
 	if err != nil {
 		return err
@@ -525,7 +530,6 @@ func checkCacheHitIdentity(p *Point) error {
 		return fmt.Errorf("check: repeat submission stats %+v, want one memory hit", st)
 	}
 
-	cold := cache.New(cache.Config{Dir: dir})
 	diskHit, err := cold.Simulate(p.Cfg, p.Workload)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // GraphRStore is the comparison target of Fig. 20: the same dynamic
@@ -32,7 +33,13 @@ type denseBlock struct {
 	count int
 }
 
-// NewGraphRStore lays out g in 8×8 dense blocks.
+// NewGraphRStore lays out g in dim×dim dense blocks. The initial load
+// is preprocessing, not online traffic: it sorts the edges' cell keys
+// once (partition.SortBlockKeys) and fills each block from its run of
+// keys with one allocation and one directory insert, reprogramming
+// nothing, so Rewrites starts at 0. The store equals one grown from an
+// empty graph by AddEdge on every edge in order, apart from Rewrites,
+// and it refuses the same first out-of-range edge.
 func NewGraphRStore(g *graph.Graph, dim int) (*GraphRStore, error) {
 	if dim <= 0 || dim*dim > 64 {
 		return nil, fmt.Errorf("dynamic: block dim %d out of range", dim)
@@ -41,14 +48,29 @@ func NewGraphRStore(g *graph.Graph, dim int) (*GraphRStore, error) {
 		dim:         dim,
 		blocks:      make(map[uint64]*denseBlock, g.NumEdges()/2+1),
 		numVertices: g.NumVertices,
+		liveEdges:   int64(len(g.Edges)),
 		invalid:     map[graph.VertexID]bool{},
 	}
 	for _, e := range g.Edges {
-		if _, err := s.AddEdge(e); err != nil {
-			return nil, err
+		if int(e.Src) >= s.numVertices || int(e.Dst) >= s.numVertices { // AddEdge's refusal
+			return nil, fmt.Errorf("dynamic: edge %v outside vertex space [0,%d)", e, s.numVertices)
 		}
 	}
-	s.Rewrites = 0 // initial load is preprocessing, not online traffic
+	k := partition.SortBlockKeys(g.Edges, dim, true)
+	for lo, hi := 0, 0; lo < len(k.Keys); lo = hi {
+		hi = k.BlockEnd(lo)
+		b := &denseBlock{}
+		for _, key := range k.Keys[lo:hi] {
+			i, j := k.Cell(key)
+			cell := int(i)*dim + int(j)
+			if b.cells[cell] == 0 {
+				b.count++
+			}
+			b.cells[cell]++
+		}
+		bx, by := k.Block(k.Keys[lo])
+		s.blocks[uint64(bx)<<32|uint64(by)] = b
+	}
 	return s, nil
 }
 

@@ -230,10 +230,13 @@ func runFig12(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			elapsed := measureBest(3, func() error {
+			elapsed, err := measureBest(3, func() error {
 				_, err := partition.BuildBuckets(g, asg)
 				return err
 			})
+			if err != nil {
+				return err
+			}
 			speed := float64(g.NumEdges()) / elapsed.Seconds()
 			if base == 0 {
 				base = speed
@@ -246,19 +249,21 @@ func runFig12(w io.Writer, opt Options) error {
 }
 
 // measureBest runs fn reps times and returns the fastest wall time — the
-// standard way to strip scheduler noise from a micro-measurement.
-func measureBest(reps int, fn func() error) time.Duration {
+// standard way to strip scheduler noise from a micro-measurement. The
+// first error fn returns ends the measurement and is returned: a failed
+// run has no timing.
+func measureBest(reps int, fn func() error) (time.Duration, error) {
 	best := time.Duration(1<<62 - 1)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
 		if err := fn(); err != nil {
-			return time.Second // pessimal sentinel; callers normalize
+			return 0, err
 		}
 		if d := time.Since(start); d < best {
 			best = d
 		}
 	}
-	return best
+	return best, nil
 }
 
 // runFig13 regenerates Fig. 13: PR energy efficiency with 1/2/3-bit

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -41,13 +42,19 @@ func runFig19(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		hyveTime := measureBest(reps, func() error {
+		hyveTime, err := measureBest(reps, func() error {
 			_, err := partition.Build(g, asg)
 			return err
 		})
-		graphrTime := measureBest(reps, func() error {
+		if err != nil {
+			return err
+		}
+		graphrTime, err := measureBest(reps, func() error {
 			return buildSparseBlocks(g, 8)
 		})
+		if err != nil {
+			return err
+		}
 		ratio := graphrTime.Seconds() / hyveTime.Seconds()
 		all = append(all, ratio)
 		t.addf("%s|%d|%.2f", d.Name, p, ratio)
@@ -96,9 +103,14 @@ func runFig20(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
+		// Only the replay is timed. Like testing.B before each run, collect
+		// before each store build: the previous rep's store is garbage by
+		// then, and a collection while the next store grows beside it
+		// would double the heap goal.
 		measure := func(mk func() (dynamic.Store, error)) (float64, error) {
 			var rates []float64
 			for i := 0; i < 3; i++ {
+				runtime.GC()
 				s, err := mk()
 				if err != nil {
 					return 0, err

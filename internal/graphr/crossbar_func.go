@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -125,38 +124,31 @@ type crossbarGraph struct {
 	start []int
 }
 
-// cellKey packs (bx, by, i, j) into one integer whose order is the
-// cell order: bx and by are below 2²⁹ because vertex ids are uint32.
-func cellKey(src, dst uint32) uint64 {
-	return uint64(src/blockDim)<<35 | uint64(dst/blockDim)<<6 | uint64(src%blockDim)<<3 | uint64(dst%blockDim)
-}
-
 // programCrossbar programs g's 1/outdeg weights through wq — what GraphR
 // writes into a crossbar per block. Parallel edges add their codes,
 // saturating at full scale; saturating addition of non-negative codes
-// does not depend on order, so one sort of the per-edge keys suffices.
+// does not depend on order, so one sort of the per-edge cell keys
+// (partition.SortBlockKeys) suffices.
 func programCrossbar(g *graph.Graph, wq *Quantizer) *crossbarGraph {
-	keys := make([]uint64, len(g.Edges))
-	for k, e := range g.Edges {
-		keys[k] = cellKey(e.Src, e.Dst)
-	}
-	slices.Sort(keys)
+	k := partition.SortBlockKeys(g.Edges, blockDim, true)
 	outDeg := g.OutDegrees()
 	full := wq.Levels() - 1
-	xg := &crossbarGraph{cells: make([]xbarCell, 0, len(keys))}
-	for k, key := range keys {
-		src := uint32(key>>35)*blockDim + uint32((key>>3)%blockDim)
-		dst := uint32((key>>6)%(1<<29))*blockDim + uint32(key%blockDim)
-		w := wq.Quantize(1 / float64(outDeg[src]))
-		if k > 0 && key == keys[k-1] {
-			c := &xg.cells[len(xg.cells)-1]
-			c.code = min(c.code+w, full)
-			continue
+	xg := &crossbarGraph{cells: make([]xbarCell, 0, len(k.Keys))}
+	for lo, hi := 0, 0; lo < len(k.Keys); lo = hi {
+		hi = k.BlockEnd(lo)
+		xg.start = append(xg.start, len(xg.cells))
+		bx, by := k.Block(k.Keys[lo])
+		for n := lo; n < hi; n++ {
+			i, j := k.Cell(k.Keys[n])
+			src, dst := bx*blockDim+i, by*blockDim+j
+			w := wq.Quantize(1 / float64(outDeg[src]))
+			if n > lo && k.Keys[n] == k.Keys[n-1] {
+				c := &xg.cells[len(xg.cells)-1]
+				c.code = min(c.code+w, full)
+				continue
+			}
+			xg.cells = append(xg.cells, xbarCell{src, dst, w})
 		}
-		if k == 0 || key>>6 != keys[k-1]>>6 {
-			xg.start = append(xg.start, len(xg.cells))
-		}
-		xg.cells = append(xg.cells, xbarCell{src, dst, w})
 	}
 	xg.start = append(xg.start, len(xg.cells))
 	return xg

@@ -3,6 +3,8 @@ package graphr
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -334,6 +336,70 @@ func TestParallelEdgesSaturate(t *testing.T) {
 	xg := programCrossbar(g, wq)
 	if len(xg.cells) != 1 || xg.cells[0] != (xbarCell{2, 13, 255}) {
 		t.Errorf("cells %v, want one saturated cell {2 13 255}", xg.cells)
+	}
+}
+
+// programCrossbarBySort is programCrossbar as it stood before the shared
+// block-key sort: its own packed cell keys and slices.Sort. It is the
+// oracle of the cell order and of the merged parallel-edge codes.
+func programCrossbarBySort(g *graph.Graph, wq *Quantizer) *crossbarGraph {
+	cellKey := func(src, dst uint32) uint64 {
+		return uint64(src/blockDim)<<35 | uint64(dst/blockDim)<<6 | uint64(src%blockDim)<<3 | uint64(dst%blockDim)
+	}
+	keys := make([]uint64, len(g.Edges))
+	for k, e := range g.Edges {
+		keys[k] = cellKey(e.Src, e.Dst)
+	}
+	slices.Sort(keys)
+	outDeg := g.OutDegrees()
+	full := wq.Levels() - 1
+	xg := &crossbarGraph{cells: make([]xbarCell, 0, len(keys))}
+	for k, key := range keys {
+		src := uint32(key>>35)*blockDim + uint32((key>>3)%blockDim)
+		dst := uint32((key>>6)%(1<<29))*blockDim + uint32(key%blockDim)
+		w := wq.Quantize(1 / float64(outDeg[src]))
+		if k > 0 && key == keys[k-1] {
+			c := &xg.cells[len(xg.cells)-1]
+			c.code = min(c.code+w, full)
+			continue
+		}
+		if k == 0 || key>>6 != keys[k-1]>>6 {
+			xg.start = append(xg.start, len(xg.cells))
+		}
+		xg.cells = append(xg.cells, xbarCell{src, dst, w})
+	}
+	xg.start = append(xg.start, len(xg.cells))
+	return xg
+}
+
+// The shared block-key sort programs the same cells, in the same order
+// and with the same block starts, as the crossbar's own sort did: on a
+// skewed graph, saturating parallel edges with self-loops, an edgeless
+// graph and ids at the top of a 2²⁰-vertex space.
+func TestProgramCrossbarMatchesOwnSort(t *testing.T) {
+	rmat, err := graph.GenerateRMAT(4096, 1<<15, graph.DefaultRMAT, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dups := &graph.Graph{NumVertices: 40}
+	for i := 0; i < 300; i++ {
+		v := graph.VertexID(i * 7 % 40)
+		dups.Edges = append(dups.Edges, graph.Edge{Src: v, Dst: v}, graph.Edge{Src: v % 3, Dst: 39 - v%2})
+	}
+	const top = 1<<20 - 1
+	high := &graph.Graph{NumVertices: top + 1, Edges: []graph.Edge{
+		{Src: top, Dst: top}, {Src: top, Dst: 0}, {Src: 0, Dst: top}, {Src: top - 1, Dst: top - 7}, {Src: top, Dst: top},
+	}}
+	wq, err := NewQuantizer(8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"rmat": rmat, "dups": dups, "edgeless": {NumVertices: 16}, "high": high} {
+		got, want := programCrossbar(g, wq), programCrossbarBySort(g, wq)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: programmed %d cells in %d blocks, the crossbar's own sort %d in %d",
+				name, len(got.cells), got.blocks(), len(want.cells), want.blocks())
+		}
 	}
 }
 

@@ -376,39 +376,3 @@ func (gr *Grid) IntervalEdgeCounts() []int64 {
 	}
 	return counts
 }
-
-// Occupancy summarizes block occupancy for a virtual grid with fixed
-// interval width (in vertices) without materializing the grid. It is the
-// measurement behind Table 1: GraphR processes the graph in 8×8-vertex
-// blocks, so Navg = |E| / non-empty blocks with intervalVerts = 8.
-type Occupancy struct {
-	IntervalVerts  int
-	NonEmpty       int64
-	TotalEdges     int64
-	AvgEdgesPerBlk float64 // the paper's Navg
-	MaxEdgesPerBlk int64
-}
-
-// ComputeOccupancy scans g once, hashing block coordinates.
-func ComputeOccupancy(g *graph.Graph, intervalVerts int) (Occupancy, error) {
-	if intervalVerts <= 0 {
-		return Occupancy{}, fmt.Errorf("partition: non-positive interval width %d", intervalVerts)
-	}
-	counts := make(map[uint64]int64, len(g.Edges)/2+1)
-	for _, e := range g.Edges {
-		bx := uint64(e.Src) / uint64(intervalVerts)
-		by := uint64(e.Dst) / uint64(intervalVerts)
-		counts[bx<<32|by]++
-	}
-	occ := Occupancy{IntervalVerts: intervalVerts, TotalEdges: int64(len(g.Edges))}
-	occ.NonEmpty = int64(len(counts))
-	for _, c := range counts {
-		if c > occ.MaxEdgesPerBlk {
-			occ.MaxEdgesPerBlk = c
-		}
-	}
-	if occ.NonEmpty > 0 {
-		occ.AvgEdgesPerBlk = float64(occ.TotalEdges) / float64(occ.NonEmpty)
-	}
-	return occ, nil
-}
