@@ -32,18 +32,14 @@
 // store and a repeat run re-executes nothing (-no-cache disables all
 // reuse). Artifact provenance is digest-checked: -resume reruns any
 // experiment whose surviving artifact was produced under different
-// options (a changed -scale, -seed, or -quick), instead of silently
-// keeping stale results.
+// options (a changed -scale, -seed, or -quick) or by an earlier method
+// of the experiment, instead of silently keeping stale results.
 //
-// With more than one worker the simulated experiments run concurrently
-// (and fan their own points across the same pool), while the measured
-// experiments — preprocessing speed, dynamic-update throughput — run
-// one at a time afterwards with the machine to themselves, so their
-// wall-clock numbers are taken on an otherwise idle process exactly as
-// in a serial run. Output is buffered per experiment and emitted in
-// paper order, so the artifact bytes are identical at any -parallel
-// value; per-experiment timing and the closing speedup line go to
-// stderr, keeping stdout pipeable.
+// With more than one worker the experiments run concurrently (and fan
+// their own points across the same pool). Output is buffered per
+// experiment and emitted in paper order, so the artifact bytes are
+// identical at any -parallel value; per-experiment timing and the
+// closing speedup line go to stderr, keeping stdout pipeable.
 package main
 
 import (

@@ -19,11 +19,10 @@ import (
 // given (paper) order; timing and lifecycle events go to log as leveled
 // logfmt lines (stderr in the binary), so w carries only the
 // deterministic artifact bytes and stays pipeable. A serial run streams
-// each experiment straight to w; with more than one worker the simulated
-// experiments run concurrently into per-experiment buffers, the measured
-// ones run serially afterwards on an otherwise idle process, and
-// everything is emitted in order once complete. Both paths produce the
-// same artifact bytes.
+// each experiment straight to w; with more than one worker the
+// experiments run concurrently into per-experiment buffers and are
+// emitted in order once all are complete. Both paths produce the same
+// artifact bytes.
 //
 // The run is observable end to end: a "bench run" span parents one
 // "experiment <id>" span per executed experiment (and, through
@@ -170,29 +169,19 @@ func runAll(w io.Writer, log *obs.Logger, todo []experiments.Experiment, opt exp
 		return nil
 	}
 
-	// Phase 1: simulated experiments across the pool, buffered.
 	bufs := make([]bytes.Buffer, len(todo))
-	var simulated []int
-	for i, e := range todo {
-		if !e.Measured && !skip[i] {
-			simulated = append(simulated, i)
+	var pending []int
+	for i := range todo {
+		if !skip[i] {
+			pending = append(pending, i)
 		}
 	}
-	err := parallel.ForEach(workers, len(simulated), func(k int) error {
-		i := simulated[k]
+	err := parallel.ForEach(workers, len(pending), func(k int) error {
+		i := pending[k]
 		return runOne(i, &bufs[i])
 	})
 	if err != nil {
 		return err
-	}
-
-	// Phase 2: measured experiments, one at a time, machine to themselves.
-	for i, e := range todo {
-		if e.Measured && !skip[i] {
-			if err := runOne(i, &bufs[i]); err != nil {
-				return err
-			}
-		}
 	}
 
 	var aggregate time.Duration
@@ -239,7 +228,8 @@ func runAll(w io.Writer, log *obs.Logger, todo []experiments.Experiment, opt exp
 // validation plus a matching id AND a matching options digest (a missing
 // file, a truncated document, a foreign JSON object, an artifact moved
 // between ids, an artifact produced under a different -scale/-seed/
-// -quick, or one predating the digest) means the experiment reruns;
+// -quick or by an earlier method of the experiment, or one predating
+// the digest) means the experiment reruns;
 // atomically-written files make truncation impossible in practice, but
 // the predicate never trusts that.
 func validArtifact(path, id, digest string) bool {

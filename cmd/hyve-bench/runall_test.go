@@ -16,9 +16,9 @@ import (
 )
 
 // fakeSuite builds a registry-like slice whose runners write fixed
-// bodies, with one Measured entry in the middle.
+// bodies.
 func fakeSuite() []experiments.Experiment {
-	mk := func(id string, measured bool) experiments.Experiment {
+	mk := func(id string) experiments.Experiment {
 		return experiments.Experiment{
 			ID:    id,
 			Title: "title " + id,
@@ -26,12 +26,9 @@ func fakeSuite() []experiments.Experiment {
 				_, err := fmt.Fprintf(w, "body of %s\nsecond line\n", id)
 				return err
 			},
-			Measured: measured,
 		}
 	}
-	return []experiments.Experiment{
-		mk("alpha", false), mk("beta", true), mk("gamma", false), mk("delta", false),
-	}
+	return []experiments.Experiment{mk("alpha"), mk("beta"), mk("gamma"), mk("delta")}
 }
 
 // testLogger returns a logger capturing logfmt lines into the buffer at
@@ -321,6 +318,55 @@ func TestResumeRejectsChangedOptions(t *testing.T) {
 		if !strings.Contains(progress.String(), want) {
 			t.Errorf("repeat resume missing %q:\n%s", want, progress.String())
 		}
+	}
+}
+
+// TestResumeRerunsEarlierMethod: an artifact written by an earlier
+// method of an experiment — fig20 when it timed this process — carries
+// that method's digest. -resume must rerun it although the options are
+// the same, and still resume table3, whose method did not change.
+func TestResumeRerunsEarlierMethod(t *testing.T) {
+	var suite []experiments.Experiment
+	for _, id := range []string{"table3", "fig20"} {
+		e, err := experiments.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite = append(suite, e)
+	}
+	opt := experiments.Options{Quick: true, Parallel: -1}
+	dir := t.TempDir()
+	if err := runAll(io.Discard, nil, suite[:1], opt, dir, false); err != nil {
+		t.Fatal(err)
+	}
+	// Revision 0's digest is the one every artifact carried before
+	// revisions existed.
+	timed := suite[1]
+	timed.Revision = 0
+	stale := experiments.NewRunArtifact(timed, opt)
+	stale.AddTable("update-throughput", []string{"dataset", "HyVE", "GraphR", "ratio"},
+		[][]string{{"YT", "2.71", "1.21", "2.24"}, {"WK", "2.50", "1.19", "2.10"}})
+	stale.AddMetric("fig20.mean_ratio", 2.17, "x")
+	path := filepath.Join(dir, "fig20.json")
+	if err := obs.WriteAtomic(path, stale.EncodeJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !validArtifact(path, "fig20", experiments.OptionsDigest(timed, opt)) {
+		t.Fatal("the stale artifact is not valid under its own method's digest")
+	}
+
+	var progress bytes.Buffer
+	if err := runAll(io.Discard, testLogger(&progress), suite, opt, dir, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(progress.String(), "msg=experiment.resumed id=table3") {
+		t.Errorf("table3 not resumed:\n%s", progress.String())
+	}
+	if strings.Contains(progress.String(), "msg=experiment.resumed id=fig20") {
+		t.Errorf("fig20 from the timed method resumed:\n%s", progress.String())
+	}
+	if !validArtifact(path, "fig20", experiments.OptionsDigest(suite[1], opt)) {
+		t.Error("fig20 was not rewritten under the current method's digest")
 	}
 }
 

@@ -2,6 +2,8 @@
 // under a stream of edge/vertex additions and deletions (45/45/5/5); the
 // HyVE layout absorbs them in O(1) through reserved slack space, while
 // the GraphR adjacency-block layout must rewrite a block per change.
+// Each request is priced on the device models by the memory operations
+// the layout performed for it, through the same code as Fig. 20.
 // After the stream, PageRank still runs correctly on the evolved graph.
 //
 //	go run ./examples/dynamic-graphs
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/dynamic"
+	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
@@ -40,28 +43,29 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tp, err := dynamic.Replay(hyve, reqs)
+	hc, err := experiments.PriceHyVE(hyve, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("HyVE layout:   %.2f M edges/s (%d changes in %v)\n",
-		tp.MillionEdgesPerSecond(), tp.EdgesChanged, tp.Elapsed.Round(0))
-	fmt.Printf("               %d overflow extents linked, %d re-preprocessing passes\n",
-		hyve.Overflows, hyve.Repreprocess)
+	ht := hc.Total()
+	fmt.Printf("HyVE layout:   %.2f M edges/s (%d changes priced at %v)\n",
+		hc.MillionEdgesPerSecond(), ht.Changed, ht.Time)
+	fmt.Printf("               %d overflow extents linked, %d last edges moved, %d re-preprocessing passes\n",
+		hyve.Overflows, hyve.MovedLastEdge, hyve.Repreprocess)
 
 	// GraphR layout: dense 8×8 adjacency blocks, rewritten per change.
 	gr, err := dynamic.NewGraphRStore(g, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tpg, err := dynamic.Replay(gr, reqs)
+	gc, err := experiments.PriceGraphR(gr, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("GraphR layout: %.2f M edges/s (%d block rewrites)\n",
-		tpg.MillionEdgesPerSecond(), gr.Rewrites)
+	fmt.Printf("GraphR layout: %.3f M edges/s (%d block rewrites priced at %v)\n",
+		gc.MillionEdgesPerSecond(), gr.Rewrites, gc.Total().Time)
 	fmt.Printf("\nHyVE/GraphR throughput: %.2fx (paper: 8.04x)\n",
-		tp.EdgesPerSecond()/tpg.EdgesPerSecond())
+		hc.MillionEdgesPerSecond()/gc.MillionEdgesPerSecond())
 
 	// The evolved graph is still a graph: run PageRank on it.
 	evolved := &graph.Graph{NumVertices: hyve.NumVertices(), Edges: hyve.Edges()}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +258,62 @@ func TestRunRemovesAbandonedPointDirs(t *testing.T) {
 	left, err := os.ReadDir(tmp)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in $TMPDIR: %s", e.Name())
+	}
+}
+
+// TestRunRemovesDirOfLiveWriter: an invariant that keeps writing into
+// its directory after its point is abandoned must not leave anything in
+// $TMPDIR once the sweep returns. os.RemoveAll alone gives up when the
+// writer adds an entry during its walk.
+func TestRunRemovesDirOfLiveWriter(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	write := Invariant{
+		Name:      "keeps-writing",
+		Tolerance: "writes until its directory is gone",
+		Check: func(p *Point) error {
+			defer close(done)
+			dir, err := p.tempDir("writer")
+			if err != nil {
+				return err
+			}
+			close(started)
+			// 32 files live at a time: the directory churns without
+			// growing, until a write finds it gone.
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
+				if err := os.WriteFile(filepath.Join(dir, strconv.Itoa(i%64)), nil, 0o644); err != nil {
+					return err
+				}
+				os.Remove(filepath.Join(dir, strconv.Itoa((i+32)%64)))
+			}
+		},
+	}
+	sum, err := run(Options{Seed: 1, Points: 1, PointTimeout: 50 * time.Millisecond}, 1, []Invariant{write})
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-done
+	select {
+	case <-started:
+	default:
+		t.Fatal("the invariant never made its directory")
+	}
+	if len(sum.TimedOut) != 1 {
+		t.Fatalf("TimedOut = %v, want the one writing point", sum.TimedOut)
 	}
 	for _, e := range left {
 		t.Errorf("left behind in $TMPDIR: %s", e.Name())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -95,7 +96,8 @@ func Run(opt Options) (*Summary, error) {
 
 // run is Run on the given number of workers and invariants. The
 // invariants' files go in one directory that run removes when it
-// returns, points it abandoned at the timeout included.
+// returns, points it abandoned at the timeout included
+// (removeSweepDir).
 func run(opt Options, workers int, invs []Invariant) (*Summary, error) {
 	out := opt.Out
 	if out == nil {
@@ -105,7 +107,7 @@ func run(opt Options, workers int, invs []Invariant) (*Summary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
-	defer os.RemoveAll(tmp)
+	defer removeSweepDir(tmp)
 	sum := &Summary{Invariants: make([]InvariantSummary, len(invs))}
 	for i, inv := range invs {
 		sum.Invariants[i] = InvariantSummary{Name: inv.Name, Tolerance: inv.Tolerance}
@@ -207,6 +209,25 @@ func run(opt Options, workers int, invs []Invariant) (*Summary, error) {
 		runErr = err
 	}
 	return sum, runErr
+}
+
+// removeSweepDir removes the sweep's directory while abandoned points
+// may still write into it. os.RemoveAll gives up when a writer adds an
+// entry during its walk, so the directory first moves into a fresh
+// sibling: writers address their files by path, and from then on they
+// fail instead of adding entries. A create already in flight at the
+// move can still land once, which the second removal takes.
+func removeSweepDir(dir string) {
+	if trash, err := os.MkdirTemp(filepath.Dir(dir), filepath.Base(dir)+".rm"); err == nil {
+		if os.Rename(dir, filepath.Join(trash, "sweep")) == nil {
+			dir = trash
+		} else {
+			os.Remove(trash)
+		}
+	}
+	if os.RemoveAll(dir) != nil {
+		os.RemoveAll(dir)
+	}
 }
 
 // pointResult is one point's completed outcome, assembled off to the

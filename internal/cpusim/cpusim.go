@@ -8,6 +8,8 @@
 //
 // The CPU exists in the paper only to anchor the "two orders of
 // magnitude" headline; it needs the right order, not cycle accuracy.
+// The same model prices the preprocessing passes of Figs. 12 and 19
+// (PassTime) from the memory operations each pass performs.
 package cpusim
 
 import (
@@ -35,6 +37,15 @@ type Model struct {
 	BytesPerEdge float64
 	// MemBandwidthGBs is the sustained DRAM bandwidth.
 	MemBandwidthGBs float64
+	// CacheBytes is the cache a single-threaded pass keeps its random
+	// accesses in: the 256 KiB L2 of one core. The shared L3 is not
+	// modeled.
+	CacheBytes int64
+	// MissCost is what one random access costs once it misses that
+	// cache: a DRAM access of ~80 ns, overlapped ten deep by the core's
+	// line-fill buffers, since a bucketing loop's addresses come from
+	// the edge stream and not from earlier loads.
+	MissCost units.Time
 	// PackagePower and DRAMPower are the PCM-measured running draws.
 	PackagePower units.Power
 	DRAMPower    units.Power
@@ -51,6 +62,8 @@ func NXgraph() Model {
 		IPC:             2,
 		BytesPerEdge:    8 + 32, // edge stream + ~half a line of vertex misses
 		MemBandwidthGBs: 17,
+		CacheBytes:      256 << 10,
+		MissCost:        8 * units.Nanosecond,
 		PackagePower:    units.Power(85 * float64(units.Watt)),
 		DRAMPower:       units.Power(6 * float64(units.Watt)),
 	}
@@ -75,6 +88,9 @@ func (m Model) Validate() error {
 	if m.InstrPerEdge <= 0 || m.BytesPerEdge <= 0 || m.MemBandwidthGBs <= 0 {
 		return fmt.Errorf("cpusim: bad per-edge parameters %+v", m)
 	}
+	if m.CacheBytes <= 0 || m.MissCost <= 0 {
+		return fmt.Errorf("cpusim: bad cache parameters %+v", m)
+	}
 	if m.PackagePower <= 0 {
 		return fmt.Errorf("cpusim: bad power %+v", m)
 	}
@@ -90,6 +106,38 @@ func (m Model) PerEdgeTime() units.Time {
 	ns := computeNs
 	if memNs > ns {
 		ns = memNs
+	}
+	return units.Time(ns * float64(units.Nanosecond))
+}
+
+// Pass is one pass of a preprocessing step, described by the memory
+// operations it performs.
+type Pass struct {
+	// SeqBytes is the traffic the pass streams: edge reads and the
+	// write-back of lines it filled.
+	SeqBytes int64
+	// Random counts the accesses whose address the data picks: bucket
+	// counters and cursors, directory probes, appends.
+	Random int64
+	// WorkingSet is the bytes those accesses spread over.
+	WorkingSet int64
+}
+
+// PassTime is the time one core takes for the passes. Sequential bytes
+// cost the sustained bandwidth. A random access hits the cache with
+// the probability that a uniformly chosen line of its working set is
+// resident, CacheBytes/WorkingSet capped at 1, and then costs one
+// cycle; otherwise it costs MissCost.
+func (m Model) PassTime(passes ...Pass) units.Time {
+	cycle := 1 / m.ClockGHz
+	var ns float64
+	for _, p := range passes {
+		ns += float64(p.SeqBytes) / m.MemBandwidthGBs
+		hit := 1.0
+		if p.WorkingSet > m.CacheBytes {
+			hit = float64(m.CacheBytes) / float64(p.WorkingSet)
+		}
+		ns += float64(p.Random) * (hit*cycle + (1-hit)*m.MissCost.Nanoseconds())
 	}
 	return units.Time(ns * float64(units.Nanosecond))
 }

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/algo"
@@ -35,6 +36,16 @@ func TestValidate(t *testing.T) {
 		t.Error("zero traffic accepted")
 	}
 	bad = NXgraph()
+	bad.CacheBytes = 0
+	if bad.Validate() == nil {
+		t.Error("zero cache accepted")
+	}
+	bad = NXgraph()
+	bad.MissCost = 0
+	if bad.Validate() == nil {
+		t.Error("zero miss cost accepted")
+	}
+	bad = NXgraph()
 	bad.PackagePower = 0
 	if bad.Validate() == nil {
 		t.Error("zero power accepted")
@@ -60,6 +71,32 @@ func TestPerEdgeTimeIsMaxOfBounds(t *testing.T) {
 	want := m.InstrPerEdge / (m.IPC * m.ClockGHz)
 	if got := m.PerEdgeTime().Nanoseconds(); got < want*0.99 || got > want*1.01 {
 		t.Errorf("compute-bound per-edge time = %v ns, want %v", got, want)
+	}
+}
+
+// PassTime by hand: 17 bytes take 1 ns at 17 GB/s; a cached access
+// takes one 3.3 GHz cycle; over a 1 MiB working set a quarter of the
+// accesses hit the 256 KiB cache and the rest cost 8 ns.
+func TestPassTimeByHand(t *testing.T) {
+	m := NXgraph()
+	cycle := 1 / 3.3
+	for _, c := range []struct {
+		pass Pass
+		ns   float64
+	}{
+		{Pass{SeqBytes: 17000}, 1000},
+		{Pass{Random: 100, WorkingSet: 1024}, 100 * cycle},
+		{Pass{Random: 100, WorkingSet: 256 << 10}, 100 * cycle},
+		{Pass{Random: 100, WorkingSet: 1 << 20}, 100 * (0.25*cycle + 0.75*8)},
+		{Pass{SeqBytes: 34, Random: 10, WorkingSet: 512 << 10}, 2 + 10*(0.5*cycle+0.5*8)},
+	} {
+		if got := m.PassTime(c.pass).Nanoseconds(); math.Abs(got-c.ns) > 1e-9*c.ns {
+			t.Errorf("PassTime(%+v) = %v ns, want %v", c.pass, got, c.ns)
+		}
+	}
+	two := m.PassTime(Pass{SeqBytes: 17000}, Pass{Random: 100, WorkingSet: 1 << 20})
+	if math.Abs(two.Nanoseconds()-(1000+100*(0.25*cycle+0.75*8))) > 1e-6 {
+		t.Errorf("passes do not add: %v", two)
 	}
 }
 

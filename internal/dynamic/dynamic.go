@@ -41,8 +41,9 @@ type Store interface {
 // out of vertex slack forces a full re-preprocess (the paper's stated
 // policy, because vertex access is not sequential). The rare structural
 // events (overflow extents, re-preprocessing, compactions) are counted
-// in obs.Default() — never the per-request fast path, so the Fig. 20
-// wall-clock measurement stays undisturbed.
+// in obs.Default() and on the store — never the per-request fast path,
+// so a timed Replay stays undisturbed. Fig. 20 prices a stream from
+// these counters (experiments.PriceHyVE).
 type HyVEStore struct {
 	asg   partition.Assigner
 	slack float64

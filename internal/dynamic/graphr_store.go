@@ -81,6 +81,10 @@ func (s *GraphRStore) key(e graph.Edge) (uint64, int) {
 	return bx<<32 | by, cell
 }
 
+// BlockCells is the number of cells one rewrite programs: every cell of
+// a dim×dim block.
+func (s *GraphRStore) BlockCells() int { return s.dim * s.dim }
+
 // reprogram models rewriting the block's adjacency matrix: every cell of
 // every bit-slice gang is touched (GraphR splits 16-bit values over four
 // 4-bit crossbar copies, so a change rewrites all four).

@@ -157,7 +157,8 @@ type Throughput struct {
 	Elapsed      time.Duration
 }
 
-// EdgesPerSecond is the paper's Fig. 20 metric (single thread).
+// EdgesPerSecond is the replay's host rate (single thread); Fig. 20
+// reports the rate priced on the device models instead.
 func (t Throughput) EdgesPerSecond() float64 {
 	if t.Elapsed <= 0 {
 		return 0
@@ -168,10 +169,11 @@ func (t Throughput) EdgesPerSecond() float64 {
 // MillionEdgesPerSecond is EdgesPerSecond scaled to the figure's unit.
 func (t Throughput) MillionEdgesPerSecond() float64 { return t.EdgesPerSecond() / 1e6 }
 
-// Replay applies the full stream to s, measuring wall-clock time. The
+// Replay applies the full stream to s, measuring wall-clock time: the
+// host benchmarks' view of a store (BenchmarkDynamicReplay*). The
 // aggregate outcome (request count, changed edges, host wall time) is
 // reported to the process-global recorder after the timed loop, so
-// observation never perturbs the Fig. 20 measurement itself.
+// observation never perturbs the measurement itself.
 func Replay(s Store, reqs []Request) (Throughput, error) {
 	start := time.Now()
 	var changed int64

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/algo"
@@ -33,9 +32,7 @@ type Options struct {
 	// points inside each runner: 1 (or negative) runs them inline, 0
 	// uses GOMAXPROCS. Results are collected into index-addressed
 	// slices before table emission, so output is byte-identical at any
-	// worker count. Experiments that measure wall time (Measured in the
-	// registry) ignore this and always run their points serially —
-	// concurrent load would distort the very quantity they report.
+	// worker count.
 	Parallel int
 	// Artifact, when non-nil, collects a machine-readable mirror of the
 	// run: every table the runner writes to w is also appended here, and
@@ -88,11 +85,12 @@ func NewRunArtifact(e Experiment, o Options) *obs.Artifact {
 }
 
 // OptionsDigest is the canonical provenance digest of one experiment
-// run: the experiment id, the sweep mode, every resolved dataset
-// instance (name, scale divisor, generator seed, full-scale sizes), and
-// the artifact and simulator schema versions. It deliberately excludes
-// Options.Parallel (artifacts are byte-identical at any worker count)
-// and the attached artifact/cache. Resumable drivers store it in the
+// run: the experiment id and its method revision (when nonzero), the
+// sweep mode, every resolved dataset instance (name, scale divisor,
+// generator seed, full-scale sizes), and the artifact and simulator
+// schema versions. It deliberately excludes Options.Parallel
+// (artifacts are byte-identical at any worker count) and the attached
+// artifact/cache. Resumable drivers store it in the
 // artifact manifest and rerun on mismatch: changing -scale, -seed, or
 // -quick between runs changes the digest, so a -resume can no longer
 // silently keep results from a different configuration.
@@ -101,6 +99,9 @@ func OptionsDigest(e Experiment, o Options) string {
 	h.Str("schema", obs.ArtifactSchema)
 	h.Str("sim", core.SimSchema)
 	h.Str("experiment", e.ID)
+	if e.Revision != 0 {
+		h.I64("revision", int64(e.Revision))
+	}
 	h.Bool("quick", o.Quick)
 	for _, d := range o.datasets() {
 		h.Str("ds.name", d.Name)
@@ -174,39 +175,44 @@ type Experiment struct {
 	Title string
 	// Run writes the regenerated rows to w.
 	Run func(w io.Writer, opt Options) error
-	// Measured marks experiments whose numbers come from wall-clock
-	// measurement of this process (preprocessing speed, dynamic-update
-	// throughput). Their points always run serially, and drivers that
-	// run experiments concurrently must give them the machine to
-	// themselves so background load cannot distort the measurement.
+	// Measured marks fig12, fig19 and fig20. Only bench/ reads it: its
+	// figures workload checks no golden hash for a Measured experiment,
+	// and its golden file has none for these three yet. The next bench/
+	// change records the three hashes and deletes the field.
 	Measured bool
+	// Revision numbers the method the experiment computes its result
+	// by. OptionsDigest folds a nonzero revision in, so -resume reruns
+	// an artifact an earlier method wrote; at zero the digest is what
+	// it was before revisions existed. fig12, fig19 and fig20 are at 1:
+	// revision 0 timed this process, 1 prices on the models.
+	Revision int
 }
 
 var registry = []Experiment{
-	{"table1", "Average edges in non-empty 8×8 blocks (Navg)", runTable1, false},
-	{"table3", "ReRAM bank power under different configurations", runTable3, false},
-	{"table4", "Energy efficiency varying SRAM sizes (MTEPS/W)", runTable4, false},
-	{"fig9", "Normalized DRAM/ReRAM delay, energy, EDP (sequential access)", runFig9, false},
-	{"fig10", "Normalized vertex-memory EDP DRAM/ReRAM on HyVE and GraphR", runFig10, false},
-	{"fig11", "Vertex storage comparison GraphR/HyVE", runFig11, false},
-	{"fig12", "Preprocessing speed vs number of blocks", runFig12, true},
-	{"fig13", "Energy efficiency by ReRAM cell bits", runFig13, false},
-	{"fig14", "Data-sharing energy-efficiency improvement", runFig14, false},
-	{"fig15", "Power-gating energy-efficiency improvement", runFig15, false},
-	{"fig16", "Energy efficiency across configurations (MTEPS/W)", runFig16, false},
-	{"fig17", "Energy consumption breakdown", runFig17, false},
-	{"fig18", "Execution time SD/HyVE", runFig18, false},
-	{"fig19", "Preprocessing time GraphR/HyVE", runFig19, true},
-	{"fig20", "Dynamic graph update throughput", runFig20, true},
-	{"fig21", "GraphR/HyVE delay, energy, EDP", runFig21, false},
-	{"ablation-interleave", "Bank vs subbank interleaving (extension)", runAblationInterleave, false},
-	{"ablation-nvm", "Edge-memory NVM alternatives (extension)", runAblationNVM, false},
-	{"ablation-gate-timeout", "Power-gate idle timeout sweep (extension)", runAblationGateTimeout, false},
-	{"ablation-router", "Router reroute cost sensitivity (extension)", runAblationRouter, false},
-	{"ablation-model", "Edge-centric vs vertex-centric locality (extension)", runAblationModel, false},
-	{"ablation-precision", "Crossbar compute precision (extension)", runAblationPrecision, false},
-	{"ablation-topology", "Topology sensitivity (extension)", runAblationTopology, false},
-	{"reliability", "ReRAM faults: SECDED ECC and bank sparing (extension)", runReliability, false},
+	{ID: "table1", Title: "Average edges in non-empty 8×8 blocks (Navg)", Run: runTable1},
+	{ID: "table3", Title: "ReRAM bank power under different configurations", Run: runTable3},
+	{ID: "table4", Title: "Energy efficiency varying SRAM sizes (MTEPS/W)", Run: runTable4},
+	{ID: "fig9", Title: "Normalized DRAM/ReRAM delay, energy, EDP (sequential access)", Run: runFig9},
+	{ID: "fig10", Title: "Normalized vertex-memory EDP DRAM/ReRAM on HyVE and GraphR", Run: runFig10},
+	{ID: "fig11", Title: "Vertex storage comparison GraphR/HyVE", Run: runFig11},
+	{ID: "fig12", Title: "Preprocessing speed vs number of blocks", Run: runFig12, Measured: true, Revision: 1},
+	{ID: "fig13", Title: "Energy efficiency by ReRAM cell bits", Run: runFig13},
+	{ID: "fig14", Title: "Data-sharing energy-efficiency improvement", Run: runFig14},
+	{ID: "fig15", Title: "Power-gating energy-efficiency improvement", Run: runFig15},
+	{ID: "fig16", Title: "Energy efficiency across configurations (MTEPS/W)", Run: runFig16},
+	{ID: "fig17", Title: "Energy consumption breakdown", Run: runFig17},
+	{ID: "fig18", Title: "Execution time SD/HyVE", Run: runFig18},
+	{ID: "fig19", Title: "Preprocessing time GraphR/HyVE", Run: runFig19, Measured: true, Revision: 1},
+	{ID: "fig20", Title: "Dynamic graph update throughput", Run: runFig20, Measured: true, Revision: 1},
+	{ID: "fig21", Title: "GraphR/HyVE delay, energy, EDP", Run: runFig21},
+	{ID: "ablation-interleave", Title: "Bank vs subbank interleaving (extension)", Run: runAblationInterleave},
+	{ID: "ablation-nvm", Title: "Edge-memory NVM alternatives (extension)", Run: runAblationNVM},
+	{ID: "ablation-gate-timeout", Title: "Power-gate idle timeout sweep (extension)", Run: runAblationGateTimeout},
+	{ID: "ablation-router", Title: "Router reroute cost sensitivity (extension)", Run: runAblationRouter},
+	{ID: "ablation-model", Title: "Edge-centric vs vertex-centric locality (extension)", Run: runAblationModel},
+	{ID: "ablation-precision", Title: "Crossbar compute precision (extension)", Run: runAblationPrecision},
+	{ID: "ablation-topology", Title: "Topology sensitivity (extension)", Run: runAblationTopology},
+	{ID: "reliability", Title: "ReRAM faults: SECDED ECC and bank sparing (extension)", Run: runReliability},
 }
 
 // All returns every experiment in paper order.
@@ -373,14 +379,4 @@ func geomean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// median returns the middle value of a sample.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	return c[len(c)/2]
 }

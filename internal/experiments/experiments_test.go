@@ -195,20 +195,45 @@ func TestFig11HyVEWins(t *testing.T) {
 	}
 }
 
+// Fig. 12's shape: speed is flat while the counting sort's P² cursors
+// fit one core's L2 and falls from 64² blocks on, further at each step.
 func TestFig12SpeedDegradesWithBlocks(t *testing.T) {
 	out := runQuick(t, "fig12")
+	var ps []int
+	rows := 0
 	for _, line := range strings.Split(out, "\n") {
-		f := grabFloats(t, line, `^(YT|WK|AS|LJ|TW)\s`)
-		if len(f) < 2 {
+		if strings.HasPrefix(line, "dataset") {
+			for _, col := range strings.Fields(line)[1:] {
+				p, err := strconv.Atoi(strings.TrimSuffix(col, "²"))
+				if err != nil {
+					t.Fatalf("header %q: %v", line, err)
+				}
+				ps = append(ps, p)
+			}
+			if len(ps) == 0 || ps[0] >= 64 {
+				t.Fatalf("no block count below 64² to normalize to: %q", line)
+			}
 			continue
 		}
-		first, last := f[0], f[len(f)-1]
-		if first != 1.00 && first != 1 {
-			t.Errorf("first column not normalized to 1: %s", line)
+		f := grabFloats(t, line, `^(YT|WK|AS|LJ|TW)\s`)
+		if len(f) == 0 {
+			continue
 		}
-		if last > first*1.3 {
-			t.Errorf("preprocessing speed should not improve at huge block counts: %s", line)
+		rows++
+		if len(f) != len(ps) {
+			t.Fatalf("row %q has %d values for %d block counts", line, len(f), len(ps))
 		}
+		for i, p := range ps {
+			switch {
+			case p < 64 && f[i] != 1:
+				t.Errorf("speed at %d² is %.2f, want the flat 1.00: %s", p, f[i], line)
+			case p >= 64 && !(f[i] < f[i-1]):
+				t.Errorf("speed at %d² (%.2f) does not fall below %d²'s: %s", p, f[i], ps[i-1], line)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("no rows to check:\n%s", out)
 	}
 }
 

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/cpusim"
 	"repro/internal/device"
 	"repro/internal/device/dram"
 	"repro/internal/device/rram"
@@ -194,15 +194,11 @@ func runFig11(w io.Writer, opt Options) error {
 	return opt.writeTable(w, "vertex-storage", t)
 }
 
-// runFig12 regenerates Fig. 12: measured preprocessing speed as the
-// block count grows, normalized to the smallest grid. Paper shape: flat
-// up to ~32×32 blocks, degrading beyond 64×64 as per-block addressing
-// overhead bites.
-//
-// Marked Measured in the registry: the points stay serial regardless of
-// Options.Parallel because they time real executions — running them
-// under concurrent load would measure scheduler contention, not
-// preprocessing speed.
+// runFig12 regenerates Fig. 12: preprocessing speed as the block count
+// grows, normalized to the smallest grid, priced on the CPU model
+// (cpusim.PassTime) for HyVE's counting sort. Paper shape: flat up to
+// ~32×32 blocks, degrading from 64×64 on, as the P² cursors and their
+// open lines outgrow one core's L2 (64² × 72 B = 288 KiB > 256 KiB).
 func runFig12(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "Fig. 12: normalized preprocessing speed vs number of blocks (1.0 = P=4)")
 	ps := []int{4, 8, 16, 32, 64, 128, 256, 512}
@@ -214,11 +210,13 @@ func runFig12(w io.Writer, opt Options) error {
 		header = append(header, fmt.Sprintf("%d²", p))
 	}
 	t := newTable(header...)
+	cpu := cpusim.NXgraph()
 	for _, d := range opt.datasets() {
 		g, err := d.Load()
 		if err != nil {
 			return err
 		}
+		e := int64(g.NumEdges())
 		row := []string{d.Name}
 		var base float64
 		for _, p := range ps {
@@ -226,18 +224,7 @@ func runFig12(w io.Writer, opt Options) error {
 				row = append(row, "-")
 				continue
 			}
-			asg, err := partition.NewHashed(g.NumVertices, p)
-			if err != nil {
-				return err
-			}
-			elapsed, err := measureBest(3, func() error {
-				_, err := partition.BuildBuckets(g, asg)
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			speed := float64(g.NumEdges()) / elapsed.Seconds()
+			speed := float64(e) / cpu.PassTime(countingSortPasses(e, int64(p))...).Seconds()
 			if base == 0 {
 				base = speed
 			}
@@ -246,24 +233,6 @@ func runFig12(w io.Writer, opt Options) error {
 		t.add(row...)
 	}
 	return opt.writeTable(w, "preprocessing-speed", t)
-}
-
-// measureBest runs fn reps times and returns the fastest wall time — the
-// standard way to strip scheduler noise from a micro-measurement. The
-// first error fn returns ends the measurement and is returned: a failed
-// run has no timing.
-func measureBest(reps int, fn func() error) (time.Duration, error) {
-	best := time.Duration(1<<62 - 1)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best, nil
 }
 
 // runFig13 regenerates Fig. 13: PR energy efficiency with 1/2/3-bit

@@ -6,26 +6,23 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/cpusim"
 	"repro/internal/dynamic"
-	"repro/internal/graph"
 	"repro/internal/graphr"
 	"repro/internal/partition"
 )
 
-// runFig19 regenerates Fig. 19: measured preprocessing time ratio
-// GraphR/HyVE. HyVE partitions into a handful of intervals with a
-// two-pass counting layout; GraphR must bucket every edge into one of
-// ~|V|²/64 sparse 8×8 blocks through a block directory — the addressing
-// overhead §6.5 identifies (paper mean: 6.73×). Marked Measured in the
-// registry: its points time real executions and always run serially.
+// runFig19 regenerates Fig. 19: preprocessing time GraphR/HyVE, priced
+// on the CPU model (cpusim.PassTime). HyVE partitions into a handful of
+// intervals with a two-pass counting layout whose P² cursors stay in
+// cache; GraphR buckets every edge into one of its non-empty 8×8 blocks
+// through a block directory far larger than the cache — the addressing
+// overhead §6.5 identifies (paper mean: 6.73×).
 func runFig19(w io.Writer, opt Options) error {
-	fmt.Fprintln(w, "Fig. 19: preprocessing time GraphR/HyVE (measured)")
-	t := newTable("dataset", "HyVE P", "GraphR/HyVE")
+	fmt.Fprintln(w, "Fig. 19: preprocessing time GraphR/HyVE (priced on the CPU model)")
+	t := newTable("dataset", "HyVE P", "HyVE ms", "GraphR ms", "GraphR/HyVE")
+	cpu := cpusim.NXgraph()
 	var all []float64
-	reps := 3
-	if opt.Quick {
-		reps = 2
-	}
 	for _, d := range opt.datasets() {
 		g, err := d.Load()
 		if err != nil {
@@ -38,26 +35,16 @@ func runFig19(w io.Writer, opt Options) error {
 		if p > g.NumVertices {
 			p = g.NumVertices / 8 * 8
 		}
-		asg, err := partition.NewHashed(g.NumVertices, p)
+		occ, err := partition.ComputeOccupancy(g, 8)
 		if err != nil {
 			return err
 		}
-		hyveTime, err := measureBest(reps, func() error {
-			_, err := partition.Build(g, asg)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		graphrTime, err := measureBest(reps, func() error {
-			return buildSparseBlocks(g, 8)
-		})
-		if err != nil {
-			return err
-		}
-		ratio := graphrTime.Seconds() / hyveTime.Seconds()
+		e := int64(g.NumEdges())
+		hyve := cpu.PassTime(countingSortPasses(e, int64(p))...)
+		gr := cpu.PassTime(blockBucketingPasses(e, occ.NonEmpty)...)
+		ratio := gr.Seconds() / hyve.Seconds()
 		all = append(all, ratio)
-		t.addf("%s|%d|%.2f", d.Name, p, ratio)
+		t.addf("%s|%d|%.3f|%.3f|%.2f", d.Name, p, hyve.Seconds()*1e3, gr.Seconds()*1e3, ratio)
 	}
 	if err := opt.writeTable(w, "preprocessing-ratio", t); err != nil {
 		return err
@@ -67,28 +54,19 @@ func runFig19(w io.Writer, opt Options) error {
 	return err
 }
 
-// buildSparseBlocks performs GraphR's preprocessing: scatter every edge
-// into its 8×8 block through a sparse block directory.
-func buildSparseBlocks(g *graph.Graph, dim int) error {
-	blocks := make(map[uint64][]graph.Edge)
-	for _, e := range g.Edges {
-		k := uint64(e.Src)/uint64(dim)<<32 | uint64(e.Dst)/uint64(dim)
-		blocks[k] = append(blocks[k], e)
-	}
-	if len(blocks) == 0 && g.NumEdges() > 0 {
-		return fmt.Errorf("experiments: sparse build produced no blocks")
-	}
-	return nil
-}
-
 // runFig20 regenerates Fig. 20: single-thread dynamic-update throughput
 // (million edges changed per second) under the 45/45/5/5 request mix,
 // HyVE's slack-based layout vs GraphR's block-rewrite layout (paper:
-// HyVE up to 46.98 M/s, 8.04× over GraphR). Marked Measured in the
-// registry: its points time real executions and always run serially.
+// HyVE up to 46.98 M/s, 8.04× over GraphR). Each store applies the
+// stream once and every request is priced on the device models by the
+// operations the store performed for it (PriceHyVE, PriceGraphR). The
+// stores are built one after another, each after a collection: the
+// previous store is garbage by then, and a collection while the next
+// one grows beside it would double the heap goal.
 func runFig20(w io.Writer, opt Options) error {
-	fmt.Fprintln(w, "Fig. 20: dynamic update throughput (million edges/s, single thread)")
+	fmt.Fprintln(w, "Fig. 20: dynamic update throughput (million edges/s, single thread, priced on the device models)")
 	t := newTable("dataset", "HyVE", "GraphR", "ratio")
+	perKind := newTable("dataset", "layout", "add-edge ns", "delete-edge ns", "add-vertex ns", "delete-vertex ns")
 	n := 200_000
 	if opt.Quick {
 		n = 20_000
@@ -103,46 +81,51 @@ func runFig20(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		// Only the replay is timed. Like testing.B before each run, collect
-		// before each store build: the previous rep's store is garbage by
-		// then, and a collection while the next store grows beside it
-		// would double the heap goal.
-		measure := func(mk func() (dynamic.Store, error)) (float64, error) {
-			var rates []float64
-			for i := 0; i < 3; i++ {
-				runtime.GC()
-				s, err := mk()
-				if err != nil {
-					return 0, err
-				}
-				tp, err := dynamic.Replay(s, reqs)
-				if err != nil {
-					return 0, err
-				}
-				rates = append(rates, tp.MillionEdgesPerSecond())
-			}
-			return median(rates), nil
-		}
-		hv, err := measure(func() (dynamic.Store, error) {
+		hv, err := func() (UpdateCost, error) {
+			runtime.GC()
 			asg, err := partition.NewHashed(g.NumVertices, 16)
 			if err != nil {
-				return nil, err
+				return UpdateCost{}, err
 			}
-			return dynamic.NewHyVEStore(g, asg, 0.3)
-		})
+			s, err := dynamic.NewHyVEStore(g, asg, 0.3)
+			if err != nil {
+				return UpdateCost{}, err
+			}
+			return PriceHyVE(s, reqs)
+		}()
 		if err != nil {
 			return err
 		}
-		gr, err := measure(func() (dynamic.Store, error) {
-			return dynamic.NewGraphRStore(g, 8)
-		})
+		gr, err := func() (UpdateCost, error) {
+			runtime.GC()
+			s, err := dynamic.NewGraphRStore(g, 8)
+			if err != nil {
+				return UpdateCost{}, err
+			}
+			return PriceGraphR(s, reqs)
+		}()
 		if err != nil {
 			return err
 		}
-		ratios = append(ratios, hv/gr)
-		t.addf("%s|%.2f|%.2f|%.2f", d.Name, hv, gr, hv/gr)
+		ratio := hv.MillionEdgesPerSecond() / gr.MillionEdgesPerSecond()
+		ratios = append(ratios, ratio)
+		t.addf("%s|%.2f|%.3f|%.2f", d.Name, hv.MillionEdgesPerSecond(), gr.MillionEdgesPerSecond(), ratio)
+		for _, l := range []struct {
+			name string
+			c    UpdateCost
+		}{{"HyVE", hv}, {"GraphR", gr}} {
+			row := []string{d.Name, l.name}
+			for _, k := range l.c.Kinds {
+				row = append(row, fmt.Sprintf("%.1f", k.Time.Nanoseconds()/float64(max(k.Requests, 1))))
+			}
+			perKind.add(row...)
+		}
 	}
 	if err := opt.writeTable(w, "update-throughput", t); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "priced ns per request, by kind:")
+	if err := opt.writeTable(w, "update-cost", perKind); err != nil {
 		return err
 	}
 	opt.metric("fig20.mean_ratio", geomean(ratios), "x")

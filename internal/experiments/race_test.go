@@ -157,11 +157,11 @@ func TestConcurrentRunParallel(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelOutputGolden is the determinism contract end to end: for
-// deterministic (non-Measured) experiments, a serial run and an
-// 8-worker run must emit byte-identical artifacts.
+// TestParallelOutputGolden is the determinism contract end to end: a
+// serial run and an 8-worker run must emit byte-identical artifacts,
+// the priced Figs. 12, 19 and 20 included.
 func TestParallelOutputGolden(t *testing.T) {
-	ids := []string{"table1", "table4", "fig14", "fig16", "fig21", "ablation-nvm", "reliability"}
+	ids := []string{"table1", "table4", "fig12", "fig14", "fig16", "fig19", "fig20", "fig21", "ablation-nvm", "reliability"}
 	for _, id := range ids {
 		e, err := ByID(id)
 		if err != nil {

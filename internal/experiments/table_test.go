@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,26 +72,5 @@ func TestTableWriteAlignsPipeValues(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "12") {
 		t.Errorf("second row lost its value: %q", lines[3])
-	}
-}
-
-// A failed run has no timing: measureBest returns fn's first error and
-// stops, where it used to return a 1 s sentinel that Figs. 12 and 19
-// printed as a ratio.
-func TestMeasureBestReturnsError(t *testing.T) {
-	boom := errors.New("build failed")
-	calls := 0
-	d, err := measureBest(3, func() error {
-		calls++
-		if calls == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || d != 0 || calls != 2 {
-		t.Errorf("measureBest = %v, %v after %d calls; want 0, %v after 2", d, err, calls, boom)
-	}
-	if _, err := measureBest(2, func() error { return nil }); err != nil {
-		t.Errorf("succeeding runs: %v", err)
 	}
 }

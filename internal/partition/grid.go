@@ -261,48 +261,6 @@ func blockIDs(a Assigner, edges []graph.Edge, ids []int32) {
 	}
 }
 
-// BuildBuckets partitions g with per-block dynamic arrays (append-based),
-// the implementation style whose addressing overhead the paper measures
-// in Fig. 12: it is equivalent in output to Build but its cost grows with
-// the number of blocks. Exposed so the preprocessing experiments can
-// measure that effect on real executions.
-func BuildBuckets(g *graph.Graph, a Assigner) (*Grid, error) {
-	if g.NumVertices != a.NumVertices() {
-		return nil, fmt.Errorf("partition: assigner built for %d vertices, graph has %d",
-			a.NumVertices(), g.NumVertices)
-	}
-	p := a.P()
-	nb := p * p
-	buckets := make([][]graph.Edge, nb)
-	var wbuckets [][]float32
-	if g.Weights != nil {
-		wbuckets = make([][]float32, nb)
-	}
-	for i, e := range g.Edges {
-		b := blockID(a, e)
-		buckets[b] = append(buckets[b], e)
-		if wbuckets != nil {
-			wbuckets[b] = append(wbuckets[b], g.Weights[i])
-		}
-	}
-	gr := &Grid{
-		Assigner: a,
-		edges:    make([]graph.Edge, 0, len(g.Edges)),
-		offsets:  make([]int64, nb+1),
-	}
-	if g.Weights != nil {
-		gr.weights = make([]float32, 0, len(g.Edges))
-	}
-	for b := 0; b < nb; b++ {
-		gr.edges = append(gr.edges, buckets[b]...)
-		if wbuckets != nil {
-			gr.weights = append(gr.weights, wbuckets[b]...)
-		}
-		gr.offsets[b+1] = int64(len(gr.edges))
-	}
-	return gr, nil
-}
-
 func blockID(a Assigner, e graph.Edge) int {
 	return a.IntervalOf(e.Src)*a.P() + a.IntervalOf(e.Dst)
 }

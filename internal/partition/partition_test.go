@@ -109,47 +109,6 @@ func TestGridPartitionInvariant(t *testing.T) {
 	}
 }
 
-func TestBuildBucketsMatchesBuild(t *testing.T) {
-	g := testGraph(t)
-	graph.AttachUniformWeights(g, 5, 3)
-	a, err := NewHashed(g.NumVertices, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Build(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := BuildBuckets(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.NumEdges() != slow.NumEdges() {
-		t.Fatalf("edge counts differ: %d vs %d", fast.NumEdges(), slow.NumEdges())
-	}
-	for x := 0; x < 16; x++ {
-		for y := 0; y < 16; y++ {
-			fb, sb := fast.Block(x, y), slow.Block(x, y)
-			if len(fb) != len(sb) {
-				t.Fatalf("block (%d,%d) length differs: %d vs %d", x, y, len(fb), len(sb))
-			}
-			// Both builds preserve input edge order within a block
-			// (counting sort and append are both stable).
-			for i := range fb {
-				if fb[i] != sb[i] {
-					t.Fatalf("block (%d,%d) edge %d differs", x, y, i)
-				}
-			}
-			fw, sw := fast.BlockWeights(x, y), slow.BlockWeights(x, y)
-			for i := range fw {
-				if fw[i] != sw[i] {
-					t.Fatalf("block (%d,%d) weight %d differs", x, y, i)
-				}
-			}
-		}
-	}
-}
-
 func TestBuildRejectsMismatchedAssigner(t *testing.T) {
 	g := testGraph(t)
 	a, err := NewContiguous(g.NumVertices*2, 8)
@@ -158,9 +117,6 @@ func TestBuildRejectsMismatchedAssigner(t *testing.T) {
 	}
 	if _, err := Build(g, a); err == nil {
 		t.Error("mismatched assigner accepted by Build")
-	}
-	if _, err := BuildBuckets(g, a); err == nil {
-		t.Error("mismatched assigner accepted by BuildBuckets")
 	}
 }
 
