@@ -7,7 +7,8 @@ package repro
 // build of the edge walks and that count-only pass, BenchmarkBlockOffsets;
 // GraphR's 8×8 blocks, grouped by one sort of block keys: the occupancy
 // count behind Table 1, BenchmarkBlockOccupancy, and Fig. 20's store
-// load, BenchmarkGraphRStoreBuild; simulation; GraphR's crossbar
+// load, BenchmarkGraphRStoreBuild; the cost walk of a warm point, up
+// to TW's 102,400 blocks, BenchmarkSimulateHyVEOptPR; GraphR's crossbar
 // emulation; dynamic updates). End-to-end numbers — every paper
 // experiment, sweeps, the service — come from the repository benchmark
 // under bench/.
@@ -28,6 +29,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphr"
 	"repro/internal/partition"
+	"repro/internal/point"
 )
 
 func benchGraph(b *testing.B) *graph.Graph {
@@ -228,16 +230,44 @@ func BenchmarkEdgeCentricIteration(b *testing.B) {
 }
 
 // BenchmarkSimulateHyVEOptPR assembles a machine and runs the cost
-// model. After the first iteration it prices from the block offsets
-// memoized on the graph, so it times the cost walk, not the count pass.
+// model with warm memos: the block offsets and the functional summary
+// are memoized on the graph by an untimed first run, so each op times
+// the assembly and the walk over the (P/N)² super blocks, as a warm
+// sweep point does. The rmat sub-benchmark prices 8² blocks; YT under
+// hyve-opt prices 16², and TW's P = 320 prices 102,400 blocks per
+// configuration.
 func BenchmarkSimulateHyVEOptPR(b *testing.B) {
 	g := benchGraph(b)
-	w := core.Workload{DatasetName: "bench", Graph: g, Program: algo.NewPageRank(), Iterations: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Simulate(core.HyVEOpt(), w); err != nil {
+	type simCase struct {
+		name string
+		cfg  core.Config
+		w    core.Workload
+	}
+	rmat := core.Workload{DatasetName: "bench", Graph: g, Program: algo.NewPageRank(), Iterations: 10}
+	cases := []simCase{{"rmat/hyve-opt", core.HyVEOpt(), rmat}}
+	for _, pt := range []point.Spec{
+		{Dataset: "YT", Config: "hyve-opt"}, {Dataset: "TW", Config: "hyve"},
+		{Dataset: "TW", Config: "hyve-opt"}, {Dataset: "TW", Config: "sd"},
+	} {
+		pt.Algo = "PR"
+		cfg, w, err := pt.Resolve()
+		if err != nil {
 			b.Fatal(err)
 		}
+		cases = append(cases, simCase{pt.Dataset + "/" + pt.Config, cfg, w})
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := core.Simulate(c.cfg, c.w); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Simulate(c.cfg, c.w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,13 +8,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/algo"
-	"repro/internal/analytic"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/device"
-	"repro/internal/device/dram"
-	"repro/internal/device/rram"
-	"repro/internal/device/sram"
 	"repro/internal/dynamic"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -151,10 +146,10 @@ func checkBlockedVsFlat(p *Point) error {
 	return algo.CompareValues("blocked vs flat", blocked.Values, flat.Values, 1e-9)
 }
 
-// checkKernelVsOracle holds every rewritten hot path against the generic
-// interface-dispatched engine: the monomorphized kernels and the
-// owner-computes parallel runner on the flat edge list (algo hook), then
-// the block-parallel Algorithm 2 schedule against its sequential
+// checkKernelVsOracle holds every rewritten hot path against a plainer
+// one: the monomorphized kernels against the generic interface-dispatched
+// engine on the flat edge list (algo hook), then the block-parallel
+// owner-computes Algorithm 2 schedule against its sequential
 // (Parallelism=1) execution — all bit-identical, counters included.
 func checkKernelVsOracle(p *Point) error {
 	if err := algo.CheckKernelVsOracle(p.Prog, p.Graph); err != nil {
@@ -175,50 +170,8 @@ func checkKernelVsOracle(p *Point) error {
 	return algo.CompareResults("block-parallel vs sequential schedule", par, seq)
 }
 
-// analyticModel instantiates the Eq. 1–16 model at the point's operating
-// points: global vertex memory per the config, local memory the on-chip
-// SRAM (or the global device in the SRAM-less baselines), the edge
-// device's sequential read, and the CMOS PU op.
-func analyticModel(p *Point) (analytic.Model, error) {
-	gp, err := core.ChoosePFor(p.Cfg, p.Workload)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	counts, err := analytic.HyVECounts(int64(p.Graph.NumVertices), int64(p.Graph.NumEdges()), gp, p.Cfg.NumPUs)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	rchip, err := rram.New(p.Cfg.RRAM)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	dchip, err := dram.New(p.Cfg.DRAM)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	pick := func(k core.MemKind) device.Memory {
-		if k == core.MemReRAM {
-			return rchip
-		}
-		return dchip
-	}
-	global := pick(p.Cfg.VertexMemory)
-	local := global
-	if p.Cfg.UseOnChipSRAM {
-		s, err := sram.New(p.Cfg.SRAMBytes)
-		if err != nil {
-			return analytic.Model{}, err
-		}
-		local = s
-	}
-	costs := analytic.VertexOps(global, local)
-	costs.EdgeRead = pick(p.Cfg.EdgeMemory).Read(true)
-	costs.PU = device.NewCMOSPU().Op()
-	return analytic.Model{N: counts, C: costs}, nil
-}
-
 func checkAnalyticDecomposition(p *Point) error {
-	m, err := analyticModel(p)
+	m, err := core.AnalyticModel(p.Cfg, p.Workload)
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ func TestMutationGateStatsDirect(t *testing.T) {
 
 func TestMutationAnalyticModel(t *testing.T) {
 	p := findPoint(t, func(p *Point) bool { return true })
-	m, err := analyticModel(p)
+	m, err := core.AnalyticModel(p.Cfg, p.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,19 +203,9 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 	s.valueBytes = w.Program.ValueBytes()
 	s.words = (s.valueBytes + 3) / 4
 
-	rchip, err := rram.New(cfg.RRAM)
+	rchip, pick, err := chips(cfg)
 	if err != nil {
 		return nil, err
-	}
-	dchip, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	pick := func(k MemKind) device.Memory {
-		if k == MemReRAM {
-			return rchip
-		}
-		return dchip
 	}
 	s.edgeDev = pick(cfg.EdgeMemory)
 	if cfg.CustomEdgeDevice != nil {
@@ -289,6 +279,25 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 		}
 	}
 	return s, nil
+}
+
+// chips builds cfg's raw ReRAM and DRAM chips and returns the ReRAM
+// chip and a map from memory kind to its chip.
+func chips(cfg Config) (*rram.Chip, func(MemKind) device.Memory, error) {
+	rchip, err := rram.New(cfg.RRAM)
+	if err != nil {
+		return nil, nil, err
+	}
+	dchip, err := dram.New(cfg.DRAM)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rchip, func(k MemKind) device.Memory {
+		if k == MemReRAM {
+			return rchip
+		}
+		return dchip
+	}, nil
 }
 
 // blockLen returns the number of edges in block (x, y).
@@ -481,7 +490,7 @@ func (s *machine) run() (*Result, error) {
 		edgesProcessed = int64(iters) * int64(s.w.Graph.NumEdges())
 	}
 
-	iterTime, iterBD, detail := s.iterationCost()
+	iterTime, iterBD, detail := s.iterationCost(nil)
 	detail.Iterations = iters
 
 	totalTime := iterTime.Times(float64(iters))
@@ -688,11 +697,28 @@ func (s *machine) emitPhaseSpans(d *Detail) {
 	}
 }
 
+// walkObserver watches iterationCost's walk over Algorithm 2:
+// BuildTimeline draws what it sees and TraceIteration addresses it. Each
+// call carries the walk's own running clock as at, so an observer places
+// every charge where the cost model put it, to the bit.
+type walkObserver interface {
+	// access sees an interval transfer through the load port or a PU's
+	// read of a non-empty block, charged dur from at. a is the Access
+	// the walk is about to charge, with Addr left to the observer.
+	access(a Access, at, dur units.Time)
+	// overhead sees time charged to no transfer or block: the "stream
+	// fill" at iteration start and, at the end of a step of super block
+	// (x, y), the "stream redirect", the router's "reroute" and the
+	// "sync" barrier.
+	overhead(name string, x, y, step int, at, dur units.Time)
+}
+
 // iterationCost walks one full pass of Algorithm 2 over the P×P blocks
 // and returns its time, dynamic energy, and phase detail. The walk is
 // exact: every block's edge count prices its step, every interval's true
-// length prices its transfers; no edge is read.
-func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
+// length prices its transfers; no edge is read. It is the one loop nest
+// over the schedule: o, when non-nil, sees every charge as it is made.
+func (s *machine) iterationCost(o walkObserver) (units.Time, energy.Breakdown, Detail) {
 	var bd energy.Breakdown
 	var d Detail
 	d.P = s.p
@@ -705,6 +731,9 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 	// One stream fill at iteration start (the edge memory is a
 	// continuous read-only stream thereafter, §3.1).
 	fill := s.edgeReg.Read(false).Latency
+	if o != nil {
+		o.overhead("stream fill", 0, 0, -1, 0, fill)
+	}
 	total += fill
 	d.OverheadTime += fill
 
@@ -713,13 +742,55 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 		edgeSize += 4
 	}
 
-	loadInterval := func(i int) units.Time { // off-chip → on-chip
-		bytes := s.intervalBytes(i)
-		t, offE, onE := s.transferCost(bytes, false)
-		bd.Add(energy.VertexMemoryOffChip, offE)
-		bd.Add(energy.VertexMemoryOnChip, onE)
-		d.SrcLoadBytes += bytes // callers fix up dst counters
-		return t
+	// A transfer's cost depends on the interval's length alone, so each
+	// interval's load and writeback are priced once per walk, not once
+	// per visit. A machine of up to 32 intervals keeps the table on the
+	// stack: at that size an allocation costs more than the table saves.
+	type charge struct {
+		t       units.Time
+		off, on units.Energy
+	}
+	var small [32][2]charge
+	var charges [][2]charge // per interval: load, writeback
+	if s.onchip != nil {
+		if s.p <= len(small) {
+			charges = small[:s.p]
+		} else {
+			charges = make([][2]charge, s.p)
+		}
+		for i := range charges {
+			ld, wb := &charges[i][0], &charges[i][1]
+			ld.t, ld.off, ld.on = s.transferCost(s.intervalBytes(i), false)
+			wb.t, wb.off, wb.on = s.transferCost(s.intervalBytes(i), true)
+		}
+	}
+
+	// transfer moves interval iv between the off-chip vertex memory and
+	// PU pu's on-chip section, in the direction kind names.
+	transfer := func(kind AccessKind, iv, pu, x, y, step int) {
+		bytes := s.intervalBytes(iv)
+		c := charges[iv][0]
+		if kind == DestWriteback {
+			c = charges[iv][1]
+		}
+		if o != nil {
+			o.access(Access{Kind: kind, Bytes: bytes, PU: pu, Interval: iv,
+				SuperBlockX: x, SuperBlockY: y, Step: step}, total, c.t)
+		}
+		bd.Add(energy.VertexMemoryOffChip, c.off)
+		bd.Add(energy.VertexMemoryOnChip, c.on)
+		total += c.t
+		switch kind {
+		case SourceLoad:
+			d.SrcLoadBytes += bytes
+			d.LoadTime += c.t
+		case DestLoad:
+			d.DstLoadBytes += bytes
+			d.LoadTime += c.t
+		default:
+			d.WritebackBytes += bytes
+			d.WritebackTime += c.t
+		}
 	}
 
 	for y := 0; y < pn; y++ {
@@ -730,22 +801,14 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 				// super block (Fig. 14 baseline).
 				if (s.cfg.DataSharing && x == 0) || !s.cfg.DataSharing {
 					for i := 0; i < n; i++ {
-						iv := y*n + i
-						t := loadInterval(iv)
-						b := s.intervalBytes(iv)
-						d.SrcLoadBytes -= b
-						d.DstLoadBytes += b
-						total += t
-						d.LoadTime += t
+						transfer(DestLoad, y*n+i, i, x, y, -1)
 					}
 				}
 				// Source intervals: shared mode loads each once per
 				// super block.
 				if s.cfg.DataSharing {
 					for i := 0; i < n; i++ {
-						t := loadInterval(x*n + i)
-						total += t
-						d.LoadTime += t
+						transfer(SourceLoad, x*n+i, i, x, y, -1)
 					}
 				}
 			}
@@ -756,11 +819,10 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 					// to consume from off-chip (serialized on the
 					// channel) — the reloading the router scheme avoids.
 					for p := 0; p < n; p++ {
-						t := loadInterval(x*n + (p+step)%n)
-						total += t
-						d.LoadTime += t
+						transfer(SourceLoad, x*n+(p+step)%n, p, x, y, step)
 					}
 				}
+				at := total
 				var stepMax units.Time
 				for p := 0; p < n; p++ {
 					src := x*n + (p+step)%n
@@ -770,6 +832,10 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 						continue
 					}
 					bt := st.perEdge.Times(float64(blkLen))
+					if o != nil {
+						o.access(Access{Kind: EdgeBlockRead, Bytes: int64(blkLen) * edgeSize, PU: p,
+							BlockX: src, BlockY: dst, SuperBlockX: x, SuperBlockY: y, Step: step}, at, bt)
+					}
 					if bt > stepMax {
 						stepMax = bt
 					}
@@ -793,7 +859,9 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 					// region: the stream redirects and pays one array
 					// access latency before refilling (the per-block
 					// cost behind Fig. 18's slight HyVE degradation).
-					fill := s.edgeReg.Read(false).Latency
+					if o != nil {
+						o.overhead("stream redirect", x, y, step, at+stepMax, fill)
+					}
 					stepMax += fill
 					d.OverheadTime += fill
 				}
@@ -801,8 +869,14 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 
 				if s.cfg.DataSharing && step > 0 {
 					r := s.onchip.Cycle().Times(float64(s.cfg.RerouteCycles))
+					if o != nil {
+						o.overhead("reroute", x, y, step, total, r)
+					}
 					total += r
 					d.OverheadTime += r
+				}
+				if o != nil {
+					o.overhead("sync", x, y, step, total, s.cfg.SyncOverhead)
 				}
 				total += s.cfg.SyncOverhead
 				d.OverheadTime += s.cfg.SyncOverhead
@@ -811,13 +885,7 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 			if s.onchip != nil && (!s.cfg.DataSharing || x == pn-1) {
 				// Write destinations back (Algorithm 2 "Updating").
 				for i := 0; i < n; i++ {
-					bytes := s.intervalBytes(y*n + i)
-					t, offE, onE := s.transferCost(bytes, true)
-					bd.Add(energy.VertexMemoryOffChip, offE)
-					bd.Add(energy.VertexMemoryOnChip, onE)
-					d.WritebackBytes += bytes
-					total += t
-					d.WritebackTime += t
+					transfer(DestWriteback, y*n+i, i, x, y, -1)
 				}
 			}
 		}

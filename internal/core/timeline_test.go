@@ -2,30 +2,78 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
-// TestTimelineMatchesIterationCost holds BuildTimeline's clock against
-// the cost simulator: for the same configuration and workload, the
-// timeline's last span must end exactly where Detail.IterTime() says an
-// iteration ends (small relative tolerance: IterTime sums its four
-// phase accumulators in a different float order than the walk's single
-// running clock).
-func TestTimelineMatchesIterationCost(t *testing.T) {
-	w := testWorkload(t, "PR")
-	for _, cfg := range []Config{HyVE(), HyVEOpt(), SRAMDRAM()} {
-		tl, err := BuildTimeline(cfg, w)
-		if err != nil {
-			t.Fatalf("BuildTimeline(%s): %v", cfg.Name, err)
+// walkInput is a workload for the walk tests and the per-PU SRAM that
+// sets its P (0 keeps each configuration's own).
+type walkInput struct {
+	name string
+	w    Workload
+	sram int64
+}
+
+// walkInputs returns testWorkload's R-MAT graph and two shapes the walk
+// meets rarely, both at P = 16 for 8-byte values (a 1 KiB SRAM section
+// holds 64 of them): 1003 vertices, which 16 intervals do not divide,
+// and 1024 vertices whose edges all join intervals 0–7, so super blocks
+// (0,1), (1,0) and (1,1) and every step in them are empty.
+func walkInputs(t *testing.T, progName string) []walkInput {
+	t.Helper()
+	base := testWorkload(t, progName)
+	ragged, err := graph.GenerateRMAT(1003, 8000, graph.DefaultRMAT, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corner := &graph.Graph{NumVertices: 1024}
+	for a := 0; a < 64; a++ {
+		for b := 0; b < 8; b++ {
+			corner.Edges = append(corner.Edges, graph.Edge{
+				Src: graph.VertexID(16*a + b),
+				Dst: graph.VertexID(16*((5*a+b)%64) + (a+b)%8),
+			})
 		}
-		r := simulate(t, cfg, w)
-		got := float64(tl.End())
-		want := float64(r.Detail.IterTime())
-		if rel := math.Abs(got-want) / want; rel > 1e-9 {
-			t.Errorf("%s: timeline ends at %v, IterTime is %v (rel err %.2e)",
-				cfg.Name, tl.End(), r.Detail.IterTime(), rel)
+	}
+	inputs := []walkInput{{"rmat", base, 0}}
+	for _, g := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ragged", ragged}, {"corner", corner}} {
+		if base.Program.NeedsWeights() {
+			graph.AttachUniformWeights(g.g, 4, 55)
+		}
+		inputs = append(inputs, walkInput{g.name,
+			Workload{DatasetName: g.name, Graph: g.g, Program: base.Program}, 1024})
+	}
+	return inputs
+}
+
+// TestTimelineMatchesIterationCost holds BuildTimeline's clock against
+// the cost walk: the timeline's last span must end exactly where the
+// walk's running clock ends the iteration.
+func TestTimelineMatchesIterationCost(t *testing.T) {
+	for _, in := range walkInputs(t, "PR") {
+		for _, cfg := range []Config{HyVE(), HyVEOpt(), SRAMDRAM()} {
+			if in.sram > 0 {
+				cfg.SRAMBytes = in.sram
+			}
+			tl, err := BuildTimeline(cfg, in.w)
+			if err != nil {
+				t.Fatalf("BuildTimeline(%s, %s): %v", cfg.Name, in.name, err)
+			}
+			s, err := newSim(cfg, in.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.sram > 0 && s.p != 16 {
+				t.Fatalf("%s %s: P = %d, want 16", cfg.Name, in.name, s.p)
+			}
+			if want, _, _ := s.iterationCost(nil); tl.End() != want {
+				t.Errorf("%s %s: timeline ends at %v, the walk at %v", cfg.Name, in.name, tl.End(), want)
+			}
 		}
 	}
 }

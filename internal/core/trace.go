@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/units"
 )
 
 // Trace generation: the HyVE controller's off-chip access stream for one
@@ -13,9 +13,12 @@ import (
 // controller (§3.3) made inspectable: every edge-memory block read and
 // every vertex-memory interval transfer, in schedule order.
 //
-// The trace exists for validation and analysis: the tests replay it and
-// require its traffic to reconcile exactly with the cost simulator's
-// Detail counters, and its addresses to stay inside the images.
+// The trace is not a second model of the schedule: iterationCost walks
+// it and hands each access it charges to traceView, which adds the
+// address. So the trace is exactly the stream the cost model priced.
+// CheckResult holds it to the images (every address inside, every
+// non-empty block read once and whole); the closed forms there check
+// the traffic itself.
 
 // AccessKind classifies one off-chip transaction of the controller.
 type AccessKind int
@@ -66,9 +69,8 @@ type Access struct {
 }
 
 // TraceIteration walks one iteration of Algorithm 2 under cfg and calls
-// visit for every off-chip access, in issue order. The schedule is
-// identical to the cost simulator's; the addresses come from the built
-// memory images.
+// visit for every off-chip access, in issue order: the cost walk's own
+// accesses, with addresses from the built memory images.
 func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -92,69 +94,29 @@ func (s *machine) traceIteration(visit func(Access)) error {
 	if err != nil {
 		return err
 	}
-	vtxOffsets := vertexImageOffsets(s.asg, s.valueBytes)
-
-	n := s.cfg.NumPUs
-	pn := s.p / n
-	edgeSize := int64(graph.EdgeBytes)
-	if s.w.Program.NeedsWeights() {
-		edgeSize += 4
-	}
-
-	emitVertex := func(kind AccessKind, interval, pu, sbx, sby, step int) {
-		visit(Access{
-			Kind: kind, Addr: vtxOffsets[interval] + VertexImageHeaderBytes,
-			Bytes: s.intervalBytes(interval), PU: pu, Interval: interval,
-			SuperBlockX: sbx, SuperBlockY: sby, Step: step,
-		})
-	}
-
-	for y := 0; y < pn; y++ {
-		for x := 0; x < pn; x++ {
-			if (s.cfg.DataSharing && x == 0) || !s.cfg.DataSharing {
-				for i := 0; i < n; i++ {
-					emitVertex(DestLoad, y*n+i, i, x, y, -1)
-				}
-			}
-			if s.cfg.DataSharing {
-				for i := 0; i < n; i++ {
-					emitVertex(SourceLoad, x*n+i, i, x, y, -1)
-				}
-			}
-			for step := 0; step < n; step++ {
-				if !s.cfg.DataSharing {
-					for p := 0; p < n; p++ {
-						emitVertex(SourceLoad, x*n+(p+step)%n, p, x, y, step)
-					}
-				}
-				for p := 0; p < n; p++ {
-					src := x*n + (p+step)%n
-					dst := y*n + p
-					blkLen := s.blockLen(src, dst)
-					if blkLen == 0 {
-						continue
-					}
-					visit(Access{
-						Kind: EdgeBlockRead,
-						Addr: edgeOffsets[src*s.p+dst] + EdgeImageHeaderBytes,
-						// The weighted edge size accounts for the weight
-						// stream the image stores alongside (weights are
-						// modeled, not serialized, in the image).
-						Bytes: int64(blkLen) * edgeSize,
-						PU:    p, BlockX: src, BlockY: dst,
-						SuperBlockX: x, SuperBlockY: y, Step: step,
-					})
-				}
-			}
-			if !s.cfg.DataSharing || x == pn-1 {
-				for i := 0; i < n; i++ {
-					emitVertex(DestWriteback, y*n+i, i, x, y, -1)
-				}
-			}
-		}
-	}
+	s.iterationCost(&traceView{p: s.p, edgeOffsets: edgeOffsets,
+		vtxOffsets: vertexImageOffsets(s.asg, s.valueBytes), visit: visit})
 	return nil
 }
+
+// traceView addresses each access the walk charges against the memory
+// images and hands it to visit.
+type traceView struct {
+	p                       int
+	edgeOffsets, vtxOffsets []int64
+	visit                   func(Access)
+}
+
+func (v *traceView) access(a Access, _, _ units.Time) {
+	if a.Kind == EdgeBlockRead {
+		a.Addr = v.edgeOffsets[a.BlockX*v.p+a.BlockY] + EdgeImageHeaderBytes
+	} else {
+		a.Addr = v.vtxOffsets[a.Interval] + VertexImageHeaderBytes
+	}
+	v.visit(a)
+}
+
+func (*traceView) overhead(string, int, int, int, units.Time, units.Time) {}
 
 // vertexImageOffsets computes per-interval start offsets of a vertex
 // image with the given value width (BuildVertexImage uses 8-byte values;

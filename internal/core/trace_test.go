@@ -54,36 +54,77 @@ func TestTraceCoversEveryBlockOnce(t *testing.T) {
 }
 
 // Vertex traffic in the trace must reconcile with the Detail counters,
-// for both sharing modes.
+// for both sharing modes, on every walk input.
 func TestTraceVertexTrafficMatchesSimulator(t *testing.T) {
-	w := testWorkload(t, "PR")
-	for _, sharing := range []bool{false, true} {
-		cfg := HyVE()
-		cfg.DataSharing = sharing
-		trace := collectTrace(t, cfg, w)
-		r := simulate(t, cfg, w)
-		var src, dst, wb int64
-		for _, a := range trace {
-			switch a.Kind {
-			case SourceLoad:
-				src += a.Bytes
-			case DestLoad:
-				dst += a.Bytes
-			case DestWriteback:
-				wb += a.Bytes
+	for _, in := range walkInputs(t, "PR") {
+		for _, sharing := range []bool{false, true} {
+			cfg := HyVE()
+			cfg.DataSharing = sharing
+			if in.sram > 0 {
+				cfg.SRAMBytes = in.sram
+			}
+			trace := collectTrace(t, cfg, in.w)
+			r := simulate(t, cfg, in.w)
+			var src, dst, wb int64
+			for _, a := range trace {
+				switch a.Kind {
+				case SourceLoad:
+					src += a.Bytes
+				case DestLoad:
+					dst += a.Bytes
+				case DestWriteback:
+					wb += a.Bytes
+				}
+			}
+			if src != r.Detail.SrcLoadBytes || dst != r.Detail.DstLoadBytes || wb != r.Detail.WritebackBytes {
+				t.Errorf("%s sharing=%v: trace (src %d, dst %d, wb %d) != simulator (%d, %d, %d)",
+					in.name, sharing, src, dst, wb,
+					r.Detail.SrcLoadBytes, r.Detail.DstLoadBytes, r.Detail.WritebackBytes)
 			}
 		}
-		if src != r.Detail.SrcLoadBytes {
-			t.Errorf("sharing=%v: trace src bytes %d != simulator %d", sharing, src, r.Detail.SrcLoadBytes)
-		}
-		if dst != r.Detail.DstLoadBytes {
-			t.Errorf("sharing=%v: trace dst bytes %d != simulator %d", sharing, dst, r.Detail.DstLoadBytes)
-		}
-		if wb != r.Detail.WritebackBytes {
-			t.Errorf("sharing=%v: trace writeback bytes %d != simulator %d", sharing, wb, r.Detail.WritebackBytes)
-		}
-		if sharing && src >= r.Detail.SrcLoadBytes*2 {
-			t.Error("sharing trace should carry less source traffic")
+	}
+}
+
+// TestVertexTrafficClosedForms holds the walk's per-iteration vertex
+// traffic to its closed forms, with V the bytes of every vertex value:
+// with data sharing src (P/N)·V, dst V and writeback V; without, src
+// P·V, dst and writeback (P/N)·V; without on-chip SRAM, nothing. Every
+// configuration, both sharing modes, both value widths, every walk input.
+func TestVertexTrafficClosedForms(t *testing.T) {
+	for _, prog := range []string{"PR", "BFS"} {
+		for _, in := range walkInputs(t, prog) {
+			for _, base := range Fig16Configs() {
+				for _, sharing := range []bool{false, true} {
+					cfg := base
+					if sharing && !cfg.UseOnChipSRAM {
+						continue
+					}
+					cfg.DataSharing = sharing
+					if in.sram > 0 && cfg.UseOnChipSRAM {
+						cfg.SRAMBytes = in.sram
+					}
+					r := simulate(t, cfg, in.w)
+					d := r.Detail
+					v := int64(in.w.Graph.NumVertices) * int64(in.w.Program.ValueBytes())
+					p, pn := int64(d.P), int64(d.SuperBlockSide)
+					var src, dst, wb int64
+					switch {
+					case !cfg.UseOnChipSRAM:
+					case sharing:
+						src, dst, wb = pn*v, v, v
+					default:
+						src, dst, wb = p*v, pn*v, pn*v
+					}
+					if d.SrcLoadBytes != src || d.DstLoadBytes != dst || d.WritebackBytes != wb {
+						t.Errorf("%s %s %s sharing=%v: traffic (src %d, dst %d, wb %d), want (%d, %d, %d)",
+							prog, in.name, cfg.Name, sharing,
+							d.SrcLoadBytes, d.DstLoadBytes, d.WritebackBytes, src, dst, wb)
+					}
+					if err := CheckResult(cfg, in.w, r); err != nil {
+						t.Errorf("%s %s %s sharing=%v: %v", prog, in.name, cfg.Name, sharing, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -22,10 +22,6 @@ type GraphRStore struct {
 	invalid     map[graph.VertexID]bool
 	// Rewrites counts whole-block reprogramming passes.
 	Rewrites int64
-	// sink defeats dead-code elimination of the reprogram sweep. It is
-	// per-store (not a package global) so concurrent Replay runs on
-	// independent stores never write shared state.
-	sink float32
 }
 
 type denseBlock struct {
@@ -85,22 +81,11 @@ func (s *GraphRStore) key(e graph.Edge) (uint64, int) {
 // a dim×dim block.
 func (s *GraphRStore) BlockCells() int { return s.dim * s.dim }
 
-// reprogram models rewriting the block's adjacency matrix: every cell of
-// every bit-slice gang is touched (GraphR splits 16-bit values over four
-// 4-bit crossbar copies, so a change rewrites all four).
-func (s *GraphRStore) reprogram(b *denseBlock) {
-	// Four bit-slice gangs, each programmed with a verify pass (ReRAM
-	// programming is program-and-verify: write the cells, read them
-	// back, re-pulse stragglers — modeled as a second sweep).
-	const passes = 4 * 2
-	var acc float32
-	for g := 0; g < passes; g++ {
-		for i := range b.cells {
-			acc += b.cells[i]
-		}
-	}
-	// The accumulation forces the sweep; the value is irrelevant.
-	s.sink = acc
+// reprogram counts one rewrite of the block's adjacency matrix: every
+// cell of every bit-slice gang is programmed (GraphR splits 16-bit
+// values over four 4-bit crossbar copies, so a change rewrites all
+// four). Fig. 20 prices the count on the crossbar model.
+func (s *GraphRStore) reprogram() {
 	s.Rewrites++
 }
 
@@ -121,7 +106,7 @@ func (s *GraphRStore) AddEdge(e graph.Edge) (int, error) {
 		b.count++
 	}
 	b.cells[cell]++
-	s.reprogram(b)
+	s.reprogram()
 	s.liveEdges++
 	return 1, nil
 }
@@ -141,7 +126,7 @@ func (s *GraphRStore) DeleteEdge(e graph.Edge) (int, error) {
 		}
 	}
 	if b.count > 0 {
-		s.reprogram(b)
+		s.reprogram()
 	}
 	s.liveEdges--
 	return 1, nil

@@ -2,7 +2,6 @@ package dynamic
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -154,28 +153,12 @@ func Apply(s Store, r Request) (int, error) {
 type Throughput struct {
 	Requests     int
 	EdgesChanged int64
-	Elapsed      time.Duration
 }
 
-// EdgesPerSecond is the replay's host rate (single thread); Fig. 20
-// reports the rate priced on the device models instead.
-func (t Throughput) EdgesPerSecond() float64 {
-	if t.Elapsed <= 0 {
-		return 0
-	}
-	return float64(t.EdgesChanged) / t.Elapsed.Seconds()
-}
-
-// MillionEdgesPerSecond is EdgesPerSecond scaled to the figure's unit.
-func (t Throughput) MillionEdgesPerSecond() float64 { return t.EdgesPerSecond() / 1e6 }
-
-// Replay applies the full stream to s, measuring wall-clock time: the
-// host benchmarks' view of a store (BenchmarkDynamicReplay*). The
-// aggregate outcome (request count, changed edges, host wall time) is
-// reported to the process-global recorder after the timed loop, so
-// observation never perturbs the measurement itself.
+// Replay applies the full stream to s and counts what changed: the host
+// benchmarks' view of a store (BenchmarkDynamicReplay*). The aggregate
+// outcome is reported to the process-global recorder after the loop.
 func Replay(s Store, reqs []Request) (Throughput, error) {
-	start := time.Now()
 	var changed int64
 	for _, r := range reqs {
 		n, err := Apply(s, r)
@@ -184,11 +167,7 @@ func Replay(s Store, reqs []Request) (Throughput, error) {
 		}
 		changed += int64(n)
 	}
-	t := Throughput{
-		Requests:     len(reqs),
-		EdgesChanged: changed,
-		Elapsed:      time.Since(start),
-	}
+	t := Throughput{Requests: len(reqs), EdgesChanged: changed}
 	rec := obs.Default()
 	rec.Count("dynamic.requests", int64(t.Requests))
 	rec.Count("dynamic.edges.changed", t.EdgesChanged)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/algo"
 	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/cpusim"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/device/dram"
 	"repro/internal/device/rram"
 	"repro/internal/device/sram"
+	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/units"
 )
@@ -66,6 +68,12 @@ func runFig9(w io.Writer, opt Options) error {
 	return opt.writeTable(w, "dram-vs-reram", t)
 }
 
+// hyveP is the interval count acc+HyVE partitions d's instance g into
+// for 8-byte (PageRank) values.
+func hyveP(d graph.Dataset, g *graph.Graph) (int, error) {
+	return core.ChoosePFor(core.HyVE(), core.Workload{Graph: g, FullVertices: d.FullVertices, Program: algo.NewPageRank()})
+}
+
 // runFig10 regenerates Fig. 10: normalized EDP (DRAM/ReRAM) of the
 // *global vertex memory* under HyVE's and GraphR's partition counts.
 // Paper shape: DRAM wins (ratio < 1) for HyVE's few partitions; ReRAM
@@ -89,7 +97,7 @@ func runFig10(w io.Writer, opt Options) error {
 			}
 			counts = analytic.GraphRCounts(int64(g.NumVertices), int64(g.NumEdges()), occ.NonEmpty)
 		} else {
-			p, err := partition.ChooseP(d.FullVertices, 2<<20, 8, 8)
+			p, err := hyveP(d, g)
 			if err != nil {
 				return err
 			}
@@ -147,7 +155,7 @@ func runFig11(w io.Writer, opt Options) error {
 			return err
 		}
 		grCounts := analytic.GraphRCounts(int64(g.NumVertices), int64(g.NumEdges()), occ.NonEmpty)
-		p, err := partition.ChooseP(d.FullVertices, 2<<20, 8, 8)
+		p, err := hyveP(d, g)
 		if err != nil {
 			return err
 		}

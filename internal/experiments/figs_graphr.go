@@ -28,12 +28,9 @@ func runFig19(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		p, err := partition.ChooseP(d.FullVertices, 2<<20, 8, 8)
+		p, err := hyveP(d, g)
 		if err != nil {
 			return err
-		}
-		if p > g.NumVertices {
-			p = g.NumVertices / 8 * 8
 		}
 		occ, err := partition.ComputeOccupancy(g, 8)
 		if err != nil {

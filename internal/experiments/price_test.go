@@ -173,3 +173,39 @@ func TestPreprocessingPassesByHand(t *testing.T) {
 		t.Errorf("bucketing: %+v, want %+v", got, want)
 	}
 }
+
+// Fig. 20's shape: on the same request stream, the HyVE layout's priced
+// update rate is above the GraphR layout's.
+func TestHyVEFasterThanGraphROnUpdates(t *testing.T) {
+	g, err := graph.GenerateRMAT(512, 4096, graph.DefaultRMAT, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := dynamic.GenerateRequests(g, 50_000, dynamic.PaperMix, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := partition.NewHashed(g.NumVertices, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := dynamic.NewHyVEStore(g, asg, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hv, err := PriceHyVE(hs, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := dynamic.NewGraphRStore(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := PriceGraphR(gs, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, r := hv.MillionEdgesPerSecond(), gr.MillionEdgesPerSecond(); h <= r || r <= 0 {
+		t.Errorf("HyVE %.3f M edges/s not above GraphR %.3f", h, r)
+	}
+}

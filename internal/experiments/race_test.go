@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -120,41 +119,6 @@ func TestConcurrentSimulateSharedWorkload(t *testing.T) {
 			t.Errorf("simulation %d diverged: %v vs %v — shared workload mutated?", i, effs[i], effs[0])
 		}
 	}
-}
-
-// TestConcurrentRunParallel runs several parallel functional executions
-// on the same graph at once — each RunParallel spawns its own workers
-// over shared read-only edges, so concurrent calls must not interfere.
-func TestConcurrentRunParallel(t *testing.T) {
-	g, err := graph.Datasets[0].Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := algo.ByName("PR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := algo.Run(p, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(workers int) {
-			defer wg.Done()
-			r, err := algo.RunParallel(p, g, workers)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if r.Iterations != ref.Iterations {
-				t.Errorf("RunParallel(workers=%d) took %d iterations, sequential took %d",
-					workers, r.Iterations, ref.Iterations)
-			}
-		}(1 + i%4)
-	}
-	wg.Wait()
 }
 
 // TestParallelOutputGolden is the determinism contract end to end: a

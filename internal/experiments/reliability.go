@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/device"
-	"repro/internal/device/dram"
-	"repro/internal/device/rram"
-	"repro/internal/device/sram"
 	"repro/internal/fault"
 )
 
@@ -114,7 +109,7 @@ func runReliability(w io.Writer, opt Options) error {
 	// Analytic cross-check: fold the same ECC operating point into the
 	// Eq. 1–16 decomposition via Model.WithEdgeRead and read the EDP
 	// overhead off the closed form.
-	m, err := reliabilityModel(wl)
+	m, err := core.AnalyticModel(core.HyVEOpt(), wl)
 	if err != nil {
 		return err
 	}
@@ -128,35 +123,4 @@ func runReliability(w io.Writer, opt Options) error {
 	opt.notef("%s", line)
 	opt.metric("reliability.edp_overhead_analytic", aOver, "%")
 	return nil
-}
-
-// reliabilityModel instantiates the analytic model at HyVE-opt's
-// operating points for a workload (DRAM global vertices, on-chip SRAM
-// local, ReRAM edge stream).
-func reliabilityModel(wl core.Workload) (analytic.Model, error) {
-	cfg := core.HyVEOpt()
-	gp, err := core.ChoosePFor(cfg, wl)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	counts, err := analytic.HyVECounts(int64(wl.Graph.NumVertices), int64(wl.Graph.NumEdges()), gp, cfg.NumPUs)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	rchip, err := rram.New(cfg.RRAM)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	dchip, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	onchip, err := sram.New(cfg.SRAMBytes)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	costs := analytic.VertexOps(dchip, onchip)
-	costs.EdgeRead = rchip.Read(true)
-	costs.PU = device.NewCMOSPU().Op()
-	return analytic.Model{N: counts, C: costs}, nil
 }
