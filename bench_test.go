@@ -6,10 +6,12 @@ package repro
 // regeneration, each followed by the count pass a point runs; the grid
 // build of the edge walks and that count-only pass, BenchmarkBlockOffsets;
 // GraphR's 8×8 blocks, grouped by one sort of block keys: the occupancy
-// count behind Table 1, BenchmarkBlockOccupancy, and Fig. 20's store
-// load, BenchmarkGraphRStoreBuild; the cost walk of a warm point, up
-// to TW's 102,400 blocks, BenchmarkSimulateHyVEOptPR; GraphR's crossbar
-// emulation; dynamic updates). End-to-end numbers — every paper
+// count behind Table 1, BenchmarkBlockOccupancy; Fig. 20's two store
+// loads, BenchmarkGraphRStoreBuild and BenchmarkHyVEStoreBuild; the cost
+// walk of a warm point, up to TW's 102,400 blocks,
+// BenchmarkSimulateHyVEOptPR; GraphR's crossbar emulation; dynamic
+// updates, whose replays pay each edge's and block's first lookup in
+// the stores' sorted bases). End-to-end numbers — every paper
 // experiment, sweeps, the service — come from the repository benchmark
 // under bench/.
 //
@@ -196,17 +198,10 @@ func BenchmarkBlockOccupancy(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphRStoreBuild is Fig. 20's untimed set-up: YT loaded into
-// GraphR's 8×8 block directory.
+// BenchmarkGraphRStoreBuild is half of Fig. 20's untimed set-up: YT
+// loaded into GraphR's 8×8 block directory.
 func BenchmarkGraphRStoreBuild(b *testing.B) {
-	d, err := graph.DatasetByName("YT")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := d.Load()
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := loadDataset(b, "YT")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dynamic.NewGraphRStore(g, 8); err != nil {
@@ -214,6 +209,36 @@ func BenchmarkGraphRStoreBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(g.NumEdges()), "edges/op")
+}
+
+// BenchmarkHyVEStoreBuild is the other half: YT laid out in Fig. 20's
+// 16² slack blocks with its sorted index.
+func BenchmarkHyVEStoreBuild(b *testing.B) {
+	g := loadDataset(b, "YT")
+	asg, err := partition.NewHashed(g.NumVertices, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dynamic.NewHyVEStore(g, asg, 0.3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumEdges()), "edges/op")
+}
+
+func loadDataset(b *testing.B, name string) *graph.Graph {
+	b.Helper()
+	d, err := graph.DatasetByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 func BenchmarkEdgeCentricIteration(b *testing.B) {

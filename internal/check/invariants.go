@@ -54,7 +54,7 @@ func Invariants() []Invariant {
 		},
 		{
 			Name:      "cost-vs-trace",
-			Tolerance: "times ≤1e-9 rel; trace traffic byte-exact vs Detail counters",
+			Tolerance: "times ≤1e-9 rel; traffic byte-exact vs closed forms; trace block reads of grid length, each non-empty block once",
 			Check: func(p *Point) error {
 				r, err := p.Sim()
 				if err != nil {

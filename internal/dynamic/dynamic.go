@@ -8,7 +8,11 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -41,18 +45,24 @@ type Store interface {
 // out of vertex slack forces a full re-preprocess (the paper's stated
 // policy, because vertex access is not sequential). The rare structural
 // events (overflow extents, re-preprocessing, compactions) are counted
-// in obs.Default() and on the store — never the per-request fast path,
-// so a timed Replay stays undisturbed. Fig. 20 prices a stream from
-// these counters (experiments.PriceHyVE).
+// in obs.Default() and on the store — never the per-request fast path.
+// Fig. 20 prices a stream from these counters (experiments.PriceHyVE).
 type HyVEStore struct {
 	asg   partition.Assigner
 	slack float64
 
 	blocks []dynBlock
-	// index maps a packed edge key to its (block, slot) refs — the §5
-	// "address managements for graph data in the memory" performed by
-	// the host. Keys and refs are packed uint64s so the hot path stays
-	// allocation-free for the (dominant) unique-edge case.
+	// base and index map an edge to the (block, slot) refs of its live
+	// occurrences — the §5 "address managements for graph data in the
+	// memory" performed by the host. base holds the initial layout's,
+	// sorted once at load; index holds those of every edge key a request
+	// added, deleted or moved, emptied ones included, and shadows base.
+	// A slot changes hands only when its edge is deleted and the block's
+	// last edge moves in, and both keys are then in index, so an edge
+	// absent from index still sits at its initial slots. Keys and refs
+	// are packed uint64s so the hot path stays allocation-free for the
+	// (dominant) unique-edge case.
+	base  baseIndex
 	index map[uint64]refList
 
 	numVertices   int
@@ -127,11 +137,115 @@ func (l *refList) replace(from, to uint64) {
 	}
 }
 
+// baseIndex is a layout's initial (edge, slot) pairs as one ascending
+// array of keys: the edge in the high bits, then the ref, the block
+// above the slot. An edge's keys thus form one run, in the order the
+// layout holds its slots. Keys pack src and dst as idBits-wide fields
+// and are radix sorted. Where they would not fit 64 bits (ids near
+// 1<<32), the pairs are sorted by comparison instead, edges holds the
+// distinct edge keys in ascending order, and a key's high bits number
+// them.
+type baseIndex struct {
+	keys                      []uint64
+	idBits, refBits, slotBits uint
+	edges                     []uint64
+}
+
+func newBaseIndex(blocks []dynBlock, numVertices int) baseIndex {
+	n, longest := 0, 1
+	for _, b := range blocks {
+		n += len(b.edges)
+		longest = max(longest, len(b.edges))
+	}
+	x := baseIndex{idBits: uint(bits.Len64(uint64(numVertices - 1))), slotBits: uint(bits.Len(uint(longest - 1)))}
+	x.refBits = uint(bits.Len(uint(len(blocks)-1))) + x.slotBits
+	if 2*x.idBits+x.refBits > 64 {
+		x.sortByComparison(blocks, n)
+		return x
+	}
+	keys := make([]uint64, 0, n)
+	for b := range blocks {
+		for slot, e := range blocks[b].edges {
+			keys = append(keys, (uint64(e.Src)<<x.idBits|uint64(e.Dst))<<x.refBits|uint64(b)<<x.slotBits|uint64(slot))
+		}
+	}
+	x.keys = partition.RadixSort(keys, make([]uint64, n), 2*x.idBits+x.refBits)
+	return x
+}
+
+// sortByComparison is newBaseIndex for keys whose edge does not fit
+// beside its ref: it sorts the (edge, ref) pairs and numbers the
+// distinct edges in that order.
+func (x *baseIndex) sortByComparison(blocks []dynBlock, n int) {
+	type pair struct{ edge, ref uint64 }
+	pairs := make([]pair, 0, n)
+	for b := range blocks {
+		for slot, e := range blocks[b].edges {
+			pairs = append(pairs, pair{edgeKey(e), uint64(b)<<x.slotBits | uint64(slot)})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(cmp.Compare(a.edge, b.edge), cmp.Compare(a.ref, b.ref)) })
+	x.keys = make([]uint64, n)
+	x.edges = []uint64{}
+	for i, p := range pairs {
+		if len(x.edges) == 0 || x.edges[len(x.edges)-1] != p.edge {
+			x.edges = append(x.edges, p.edge)
+		}
+		x.keys[i] = uint64(len(x.edges)-1)<<x.refBits | p.ref
+	}
+}
+
+// refs returns the initial layout's slots of e in ascending order, the
+// order the layout pushed them: a binary search, after one over the
+// distinct edges where the keys number them.
+func (x *baseIndex) refs(e graph.Edge) refList {
+	var edge uint64
+	if x.edges != nil {
+		n, ok := slices.BinarySearch(x.edges, edgeKey(e))
+		if !ok {
+			return refList{}
+		}
+		edge = uint64(n)
+	} else {
+		if (e.Src|e.Dst)>>x.idBits != 0 {
+			return refList{}
+		}
+		edge = uint64(e.Src)<<x.idBits | uint64(e.Dst)
+	}
+	var l refList
+	lo := sort.Search(len(x.keys), func(i int) bool { return x.keys[i]>>x.refBits >= edge })
+	for _, key := range x.keys[lo:] {
+		if key>>x.refBits != edge {
+			break
+		}
+		ref := key & (1<<x.refBits - 1)
+		l.push(packRef(slotRef{block: int32(ref >> x.slotBits), slot: int32(ref & (1<<x.slotBits - 1))}))
+	}
+	return l
+}
+
+// outsideSpace is AddEdge's refusal of an edge with an endpoint outside
+// a vertex space of n ids, or nil.
+func outsideSpace(e graph.Edge, n int) error {
+	if int(e.Src) >= n || int(e.Dst) >= n {
+		return fmt.Errorf("dynamic: edge %v outside vertex space [0,%d)", e, n)
+	}
+	return nil
+}
+
 // NewHyVEStore lays out g under the assigner with the given slack
-// fraction (the paper's example: 0.3).
+// fraction (the paper's example: 0.3). It refuses the first edge in
+// edge order that AddEdge would refuse. The blocks are copied with their
+// slack; the index is one sorted array of the layout's (edge, slot)
+// keys, which a request reads the first time it touches an edge.
 func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVEStore, error) {
 	if slack < 0 || slack > 1 {
 		return nil, fmt.Errorf("dynamic: slack fraction %v out of [0,1]", slack)
+	}
+	for _, e := range g.Edges {
+		if err := outsideSpace(e, g.NumVertices); err != nil {
+			return nil, err
+		}
 	}
 	grid, err := partition.Build(g, asg)
 	if err != nil {
@@ -142,7 +256,7 @@ func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVES
 		asg:         asg,
 		slack:       slack,
 		blocks:      make([]dynBlock, p*p),
-		index:       make(map[uint64]refList, g.NumEdges()),
+		index:       map[uint64]refList{},
 		numVertices: g.NumVertices,
 		vertexSlack: int(float64(g.NumVertices) * slack),
 		invalid:     map[graph.VertexID]bool{},
@@ -150,18 +264,22 @@ func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVES
 	}
 	for x := 0; x < p; x++ {
 		for y := 0; y < p; y++ {
-			b := x*p + y
 			blk := grid.Block(x, y)
 			reserved := len(blk) + int(float64(len(blk))*slack) + 4
-			s.blocks[b] = dynBlock{edges: append(make([]graph.Edge, 0, reserved), blk...), reserved: reserved}
-			for slot, e := range blk {
-				l := s.index[edgeKey(e)]
-				l.push(packRef(slotRef{block: int32(b), slot: int32(slot)}))
-				s.index[edgeKey(e)] = l
-			}
+			s.blocks[x*p+y] = dynBlock{edges: append(make([]graph.Edge, 0, reserved), blk...), reserved: reserved}
 		}
 	}
+	s.base = newBaseIndex(s.blocks, g.NumVertices)
 	return s, nil
+}
+
+// refs returns the live slots of e: index's list once a request has
+// touched e, else the initial layout's.
+func (s *HyVEStore) refs(e graph.Edge) refList {
+	if l, ok := s.index[edgeKey(e)]; ok {
+		return l
+	}
+	return s.base.refs(e)
 }
 
 func (s *HyVEStore) blockOf(e graph.Edge) (int, error) {
@@ -184,10 +302,11 @@ func (s *HyVEStore) blockOf(e graph.Edge) (int, error) {
 }
 
 // AddEdge implements Store: append to the block's tail — into reserved
-// slack if available, otherwise into a linked overflow extent. O(1).
+// slack if available, otherwise into a linked overflow extent. O(1),
+// plus a search of the base the first time a request touches e.
 func (s *HyVEStore) AddEdge(e graph.Edge) (int, error) {
-	if int(e.Src) >= s.numVertices || int(e.Dst) >= s.numVertices {
-		return 0, fmt.Errorf("dynamic: edge %v outside vertex space [0,%d)", e, s.numVertices)
+	if err := outsideSpace(e, s.numVertices); err != nil {
+		return 0, err
 	}
 	b, err := s.blockOf(e)
 	if err != nil {
@@ -205,40 +324,34 @@ func (s *HyVEStore) AddEdge(e graph.Edge) (int, error) {
 		obs.Default().Count("dynamic.overflows", 1)
 	}
 	blk.edges = append(blk.edges, e)
-	k := edgeKey(e)
-	l := s.index[k]
+	l := s.refs(e)
 	l.push(packRef(slotRef{block: int32(b), slot: int32(len(blk.edges) - 1)}))
-	s.index[k] = l
+	s.index[edgeKey(e)] = l
 	s.liveEdges++
 	return 1, nil
 }
 
 // DeleteEdge implements Store: overwrite the victim with the block's
 // last edge and shrink (§5 "replaces the edge with the last edge in the
-// corresponding block"). O(1).
+// corresponding block"). O(1), plus a search of the base the first time
+// a request touches e or the moved edge.
 func (s *HyVEStore) DeleteEdge(e graph.Edge) (int, error) {
-	k := edgeKey(e)
-	l, ok := s.index[k]
-	if !ok || l.n == 0 {
+	l := s.refs(e)
+	if l.n == 0 {
 		return 0, nil
 	}
 	packed := l.pop()
-	if l.n == 0 {
-		delete(s.index, k)
-	} else {
-		s.index[k] = l
-	}
+	s.index[edgeKey(e)] = l
 	ref := unpackRef(packed)
 	blk := &s.blocks[ref.block]
 	lastSlot := int32(len(blk.edges) - 1)
 	if ref.slot != lastSlot {
 		moved := blk.edges[lastSlot]
 		blk.edges[ref.slot] = moved
-		mk := edgeKey(moved)
-		ml := s.index[mk]
+		ml := s.refs(moved)
 		ml.replace(packRef(slotRef{block: ref.block, slot: lastSlot}),
 			packRef(slotRef{block: ref.block, slot: ref.slot}))
-		s.index[mk] = ml
+		s.index[edgeKey(moved)] = ml
 		s.MovedLastEdge++
 	}
 	blk.edges = blk.edges[:lastSlot]

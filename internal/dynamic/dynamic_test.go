@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -84,16 +85,18 @@ func TestAddThenDeleteRestoresState(t *testing.T) {
 func TestDeleteAbsentEdgeIsNoop(t *testing.T) {
 	g := testGraph(t)
 	s := newHyVE(t, g)
+	before := s.Edges()
+	live := edgeMultiset(before)
 	phantom := graph.Edge{Src: 1, Dst: 2}
-	for {
-		if _, ok := s.index[edgeKey(phantom)]; !ok {
-			break
-		}
-		phantom.Dst += 3 // find an edge not in the graph
+	for live[phantom] > 0 {
+		phantom.Dst += 3 // find an edge not in the store
 	}
 	n, err := s.DeleteEdge(phantom)
 	if err != nil || n != 0 {
 		t.Fatalf("deleting absent edge: n=%d err=%v", n, err)
+	}
+	if !slices.Equal(s.Edges(), before) || s.NumEdges() != int64(len(before)) || s.MovedLastEdge != 0 {
+		t.Fatalf("deleting absent edge %v changed the store", phantom)
 	}
 }
 

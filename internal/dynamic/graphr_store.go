@@ -15,7 +15,13 @@ import (
 // not an append-friendly list — §7.4.2 applies "the same strategy" but
 // the representation forces per-change block reprogramming).
 type GraphRStore struct {
-	dim         int
+	dim int
+	// base holds the initial graph's cell keys in block order
+	// (partition.SortBlockKeys). A block's dense cells are filled from
+	// its run of keys the first time a request touches the block, and
+	// kept in blocks, by bx<<32 | by, from then on, emptied blocks
+	// included: an entry shadows the block's run in base.
+	base        *partition.BlockKeys
 	blocks      map[uint64]*denseBlock
 	numVertices int
 	liveEdges   int64
@@ -31,50 +37,72 @@ type denseBlock struct {
 
 // NewGraphRStore lays out g in dim×dim dense blocks. The initial load
 // is preprocessing, not online traffic: it sorts the edges' cell keys
-// once (partition.SortBlockKeys) and fills each block from its run of
-// keys with one allocation and one directory insert, reprogramming
-// nothing, so Rewrites starts at 0. The store equals one grown from an
-// empty graph by AddEdge on every edge in order, apart from Rewrites,
-// and it refuses the same first out-of-range edge.
+// once (partition.SortBlockKeys) and reprograms nothing, so Rewrites
+// starts at 0. The store behaves as one grown from an empty graph by
+// AddEdge on every edge in order, apart from Rewrites, and it refuses
+// the same first out-of-range edge.
 func NewGraphRStore(g *graph.Graph, dim int) (*GraphRStore, error) {
 	if dim <= 0 || dim*dim > 64 {
 		return nil, fmt.Errorf("dynamic: block dim %d out of range", dim)
 	}
-	s := &GraphRStore{
+	for _, e := range g.Edges {
+		if err := outsideSpace(e, g.NumVertices); err != nil {
+			return nil, err
+		}
+	}
+	return &GraphRStore{
 		dim:         dim,
-		blocks:      make(map[uint64]*denseBlock, g.NumEdges()/2+1),
+		base:        partition.SortBlockKeys(g.Edges, dim, true),
+		blocks:      map[uint64]*denseBlock{},
 		numVertices: g.NumVertices,
 		liveEdges:   int64(len(g.Edges)),
 		invalid:     map[graph.VertexID]bool{},
-	}
-	for _, e := range g.Edges {
-		if int(e.Src) >= s.numVertices || int(e.Dst) >= s.numVertices { // AddEdge's refusal
-			return nil, fmt.Errorf("dynamic: edge %v outside vertex space [0,%d)", e, s.numVertices)
-		}
-	}
-	k := partition.SortBlockKeys(g.Edges, dim, true)
-	for lo, hi := 0, 0; lo < len(k.Keys); lo = hi {
-		hi = k.BlockEnd(lo)
-		b := &denseBlock{}
-		for _, key := range k.Keys[lo:hi] {
-			i, j := k.Cell(key)
-			cell := int(i)*dim + int(j)
-			if b.cells[cell] == 0 {
-				b.count++
-			}
-			b.cells[cell]++
-		}
-		bx, by := k.Block(k.Keys[lo])
-		s.blocks[uint64(bx)<<32|uint64(by)] = b
-	}
-	return s, nil
+	}, nil
 }
 
-func (s *GraphRStore) key(e graph.Edge) (uint64, int) {
-	bx := uint64(e.Src) / uint64(s.dim)
-	by := uint64(e.Dst) / uint64(s.dim)
-	cell := int(e.Src)%s.dim*s.dim + int(e.Dst)%s.dim
-	return bx<<32 | by, cell
+// block returns e's block and e's cell in it. A block no request has
+// touched is filled from the base and kept; one that holds no edge is
+// made only when add is set, and is nil otherwise.
+func (s *GraphRStore) block(e graph.Edge, add bool) (*denseBlock, int) {
+	d := uint32(s.dim)
+	bx, by := e.Src/d, e.Dst/d
+	cell := int(e.Src%d*d + e.Dst%d)
+	k := uint64(bx)<<32 | uint64(by)
+	b := s.blocks[k]
+	if b == nil {
+		if b = s.fill(bx, by); b == nil {
+			if !add {
+				return nil, cell
+			}
+			b = &denseBlock{}
+		}
+		s.blocks[k] = b
+	}
+	return b, cell
+}
+
+// fill returns block (bx, by) as the initial graph holds it, from its
+// run of base keys, or nil if no edge of the graph falls in it.
+func (s *GraphRStore) fill(bx, by uint32) *denseBlock {
+	lo, hi := s.base.Run(bx, by)
+	if lo == hi {
+		return nil
+	}
+	b := &denseBlock{}
+	d := uint32(s.dim)
+	for _, key := range s.base.Keys[lo:hi] {
+		i, j := s.base.Cell(key)
+		b.inc(int(i*d + j))
+	}
+	return b
+}
+
+// inc adds one edge to a cell.
+func (b *denseBlock) inc(cell int) {
+	if b.cells[cell] == 0 {
+		b.count++
+	}
+	b.cells[cell]++
 }
 
 // BlockCells is the number of cells one rewrite programs: every cell of
@@ -93,19 +121,11 @@ func (s *GraphRStore) reprogram() {
 // are rejected, matching HyVEStore: silently growing the space here
 // used to let the two Fig. 20 stores diverge on malformed streams.
 func (s *GraphRStore) AddEdge(e graph.Edge) (int, error) {
-	if int(e.Src) >= s.numVertices || int(e.Dst) >= s.numVertices {
-		return 0, fmt.Errorf("dynamic: edge %v outside vertex space [0,%d)", e, s.numVertices)
+	if err := outsideSpace(e, s.numVertices); err != nil {
+		return 0, err
 	}
-	k, cell := s.key(e)
-	b := s.blocks[k]
-	if b == nil {
-		b = &denseBlock{}
-		s.blocks[k] = b
-	}
-	if b.cells[cell] == 0 {
-		b.count++
-	}
-	b.cells[cell]++
+	b, cell := s.block(e, true)
+	b.inc(cell)
 	s.reprogram()
 	s.liveEdges++
 	return 1, nil
@@ -113,17 +133,13 @@ func (s *GraphRStore) AddEdge(e graph.Edge) (int, error) {
 
 // DeleteEdge implements Store.
 func (s *GraphRStore) DeleteEdge(e graph.Edge) (int, error) {
-	k, cell := s.key(e)
-	b := s.blocks[k]
+	b, cell := s.block(e, false)
 	if b == nil || b.cells[cell] == 0 {
 		return 0, nil
 	}
 	b.cells[cell]--
 	if b.cells[cell] == 0 {
 		b.count--
-		if b.count == 0 {
-			delete(s.blocks, k)
-		}
 	}
 	if b.count > 0 {
 		s.reprogram()

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,6 +24,43 @@ func growGraphRStore(g *graph.Graph, dim int) (*GraphRStore, error) {
 	return s, nil
 }
 
+// graphRBlocks materializes every block of s that holds an edge, by
+// bx<<32 | by: a block a request touched as it stands, any other as its
+// run of base keys fills it. It changes nothing in s.
+func graphRBlocks(s *GraphRStore) map[uint64]denseBlock {
+	out := map[uint64]denseBlock{}
+	for k, b := range s.blocks {
+		if b.count > 0 {
+			out[k] = *b
+		}
+	}
+	for lo := 0; lo < len(s.base.Keys); lo = s.base.BlockEnd(lo) {
+		bx, by := s.base.Block(s.base.Keys[lo])
+		if k := uint64(bx)<<32 | uint64(by); s.blocks[k] == nil {
+			out[k] = *s.fill(bx, by)
+		}
+	}
+	return out
+}
+
+// requireSameBlocks fails unless two stores' materialized blocks agree:
+// the same directory keys, cells and counts.
+func requireSameBlocks(t testing.TB, what string, got, want map[uint64]denseBlock) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d blocks, want %d", what, len(got), len(want))
+	}
+	for k, wb := range want {
+		gb, ok := got[k]
+		if !ok {
+			t.Fatalf("%s: block %#x missing", what, k)
+		}
+		if gb != wb {
+			t.Fatalf("%s: block %#x is %+v, want %+v", what, k, gb, wb)
+		}
+	}
+}
+
 // requireSameStore fails unless the bulk-loaded store equals the grown
 // one field for field — directory keys, cells, counts, live edges,
 // vertex space — and the bulk load reprogrammed nothing.
@@ -37,18 +75,7 @@ func requireSameStore(t *testing.T, name string, dim int, bulk, grown *GraphRSto
 			bulk.dim, bulk.numVertices, bulk.liveEdges, len(bulk.invalid),
 			grown.dim, grown.numVertices, grown.liveEdges, len(grown.invalid))
 	}
-	if len(bulk.blocks) != len(grown.blocks) {
-		t.Fatalf("%s dim %d: %d blocks, grown store has %d", name, dim, len(bulk.blocks), len(grown.blocks))
-	}
-	for k, gb := range grown.blocks {
-		bb, ok := bulk.blocks[k]
-		if !ok {
-			t.Fatalf("%s dim %d: block %#x missing from the bulk load", name, dim, k)
-		}
-		if *bb != *gb {
-			t.Fatalf("%s dim %d: block %#x is %+v, grown store has %+v", name, dim, k, *bb, *gb)
-		}
-	}
+	requireSameBlocks(t, fmt.Sprintf("%s dim %d bulk load", name, dim), graphRBlocks(bulk), graphRBlocks(grown))
 }
 
 // storeGraphs: a skewed R-MAT graph, parallel edges with self-loops, an

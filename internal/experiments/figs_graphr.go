@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/cpusim"
@@ -56,10 +55,7 @@ func runFig19(w io.Writer, opt Options) error {
 // HyVE's slack-based layout vs GraphR's block-rewrite layout (paper:
 // HyVE up to 46.98 M/s, 8.04× over GraphR). Each store applies the
 // stream once and every request is priced on the device models by the
-// operations the store performed for it (PriceHyVE, PriceGraphR). The
-// stores are built one after another, each after a collection: the
-// previous store is garbage by then, and a collection while the next
-// one grows beside it would double the heap goal.
+// operations the store performed for it (PriceHyVE, PriceGraphR).
 func runFig20(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "Fig. 20: dynamic update throughput (million edges/s, single thread, priced on the device models)")
 	t := newTable("dataset", "HyVE", "GraphR", "ratio")
@@ -78,29 +74,23 @@ func runFig20(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		hv, err := func() (UpdateCost, error) {
-			runtime.GC()
-			asg, err := partition.NewHashed(g.NumVertices, 16)
-			if err != nil {
-				return UpdateCost{}, err
-			}
-			s, err := dynamic.NewHyVEStore(g, asg, 0.3)
-			if err != nil {
-				return UpdateCost{}, err
-			}
-			return PriceHyVE(s, reqs)
-		}()
+		asg, err := partition.NewHashed(g.NumVertices, 16)
 		if err != nil {
 			return err
 		}
-		gr, err := func() (UpdateCost, error) {
-			runtime.GC()
-			s, err := dynamic.NewGraphRStore(g, 8)
-			if err != nil {
-				return UpdateCost{}, err
-			}
-			return PriceGraphR(s, reqs)
-		}()
+		hs, err := dynamic.NewHyVEStore(g, asg, 0.3)
+		if err != nil {
+			return err
+		}
+		hv, err := PriceHyVE(hs, reqs)
+		if err != nil {
+			return err
+		}
+		gs, err := dynamic.NewGraphRStore(g, 8)
+		if err != nil {
+			return err
+		}
+		gr, err := PriceGraphR(gs, reqs)
 		if err != nil {
 			return err
 		}

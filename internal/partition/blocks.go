@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/graph"
 )
@@ -17,8 +18,8 @@ import (
 // ascending order. A key orders by block row bx = src/width, then block
 // column by = dst/width and, when cells are kept, by the row i =
 // src%width and column j = dst%width inside the block. So each block's
-// edges form one run of keys (BlockEnd), a run's cells are in (i, j)
-// order, and parallel edges give equal keys.
+// edges form one run of keys (BlockEnd, Run), a run's cells are in
+// (i, j) order, and parallel edges give equal keys.
 type BlockKeys struct {
 	Keys []uint64
 	// cellBits is the width of one in-block coordinate in a key (0
@@ -86,7 +87,7 @@ func SortBlockKeys(edges []graph.Edge, width int, cells bool) *BlockKeys {
 				uint64((e.Src-bx*w32)&cellMask)<<cb | uint64((e.Dst-by*w32)&cellMask)
 		}
 	}
-	k.Keys = radixSort(keys, make([]uint64, len(keys)), 2*(bb+cb))
+	k.Keys = RadixSort(keys, make([]uint64, len(keys)), 2*(bb+cb))
 	return k
 }
 
@@ -122,6 +123,31 @@ func (k *BlockKeys) BlockEnd(lo int) int {
 	return hi
 }
 
+// Run returns the run of keys that holds block (bx, by), Keys[lo:hi];
+// it is empty when no edge falls in the block, which includes every
+// block whose coordinates are wider than a packed key holds. It is two
+// binary searches over Keys, after one over the block directory where
+// the keys number the blocks.
+func (k *BlockKeys) Run(bx, by uint32) (lo, hi int) {
+	var blk uint64
+	if k.blocks != nil {
+		n, ok := slices.BinarySearch(k.blocks, uint64(bx)<<32|uint64(by))
+		if !ok {
+			return 0, 0
+		}
+		blk = uint64(n)
+	} else {
+		if (bx|by)>>k.byBits != 0 {
+			return 0, 0
+		}
+		blk = uint64(bx)<<k.byBits | uint64(by)
+	}
+	shift := 2 * k.cellBits
+	lo = sort.Search(len(k.Keys), func(i int) bool { return k.Keys[i]>>shift >= blk })
+	hi = lo + sort.Search(len(k.Keys)-lo, func(i int) bool { return k.Keys[lo+i]>>shift > blk })
+	return lo, hi
+}
+
 // Block returns the block row and column of key.
 func (k *BlockKeys) Block(key uint64) (bx, by uint32) {
 	blk := key >> (2 * k.cellBits)
@@ -139,16 +165,16 @@ func (k *BlockKeys) Cell(key uint64) (i, j uint32) {
 	return uint32(key >> k.cellBits & mask), uint32(key & mask)
 }
 
-// radixDigit is the widest digit radixSort uses: 2048 counters, small
+// radixDigit is the widest digit RadixSort uses: 2048 counters, small
 // enough to stay in L1.
 const radixDigit = 11
 
-// radixSort sorts keys, whose set bits all lie below bit nbits, with a
+// RadixSort sorts keys, whose set bits all lie below bit nbits, with a
 // least-significant-digit radix sort through buf (len(keys) long), and
 // returns whichever of the two holds the result. The digits split nbits
 // evenly, all histograms are counted in one read, and a pass whose digit
 // is the same in every key is skipped.
-func radixSort(keys, buf []uint64, nbits uint) []uint64 {
+func RadixSort(keys, buf []uint64, nbits uint) []uint64 {
 	if len(keys) < 2 || nbits == 0 {
 		return keys
 	}

@@ -71,7 +71,9 @@ func cellOrder(w uint64) func(a, b graph.Edge) int {
 
 // requireBlockKeys fails unless k decodes, key by key, to g's edges
 // sorted into (bx, by, i, j) order — (bx, by) alone without cells —
-// and BlockEnd splits the keys exactly where the block changes.
+// BlockEnd splits the keys exactly where the block changes, and Run
+// finds each block's run and none for the blocks around them that no
+// edge falls in, the widest coordinates included.
 func requireBlockKeys(t *testing.T, name string, g *graph.Graph, width int, cells bool, k *BlockKeys) {
 	t.Helper()
 	w := uint64(width)
@@ -108,7 +110,32 @@ func requireBlockKeys(t *testing.T, name string, g *graph.Graph, width int, cell
 				t.Fatalf("%s width %d: run ends at %d inside block (%d,%d)", name, width, hi, bx, by)
 			}
 		}
+		if l, h := k.Run(bx, by); l != lo || h != hi {
+			t.Fatalf("%s width %d cells %t: Run(%d,%d) = [%d,%d), want [%d,%d)", name, width, cells, bx, by, l, h, lo, hi)
+		}
 		lo = hi
+	}
+	present := map[[2]uint32]bool{}
+	for _, key := range k.Keys {
+		bx, by := k.Block(key)
+		present[[2]uint32{bx, by}] = true
+	}
+	const top = math.MaxUint32
+	probes := [][2]uint32{{0, 0}, {top, top}, {top, 0}, {0, top}}
+	for b := range present {
+		probes = append(probes, [2]uint32{b[0] + 1, b[1]}, [2]uint32{b[0], b[1] + 1},
+			[2]uint32{b[0] - 1, b[1]}, [2]uint32{b[0], b[1] - 1}, [2]uint32{top, b[1]}, [2]uint32{b[0], top})
+		if k.blocks == nil && k.byBits < 32 {
+			// The narrowest coordinate a packed key cannot hold.
+			wide := uint32(1) << k.byBits
+			probes = append(probes, [2]uint32{b[0], wide}, [2]uint32{wide, b[1]})
+		}
+	}
+	for _, b := range probes {
+		if l, h := k.Run(b[0], b[1]); !present[b] && l != h {
+			t.Fatalf("%s width %d cells %t: Run(%d,%d) = [%d,%d) for a block no edge falls in",
+				name, width, cells, b[0], b[1], l, h)
+		}
 	}
 }
 
@@ -170,7 +197,7 @@ func TestRadixSort(t *testing.T) {
 			}
 			want := slices.Clone(keys)
 			slices.Sort(want)
-			got := radixSort(keys, make([]uint64, n), nbits)
+			got := RadixSort(keys, make([]uint64, n), nbits)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%d bits, %d keys: radix order differs from slices.Sort", nbits, n)
 			}
