@@ -2,7 +2,9 @@ package repro
 
 // Micro-benchmarks for the load-bearing substrate operations
 // (generation, including each Table 2 instance in
-// BenchmarkDatasetGenerate; a prepared container's load against
+// BenchmarkDatasetGenerate; the flat functional run of every Table 2
+// dataset × program that a cache-off sweep point pays for,
+// BenchmarkFunctionalRun; a prepared container's load against
 // regeneration, each followed by the count pass a point runs; the grid
 // build of the edge walks and that count-only pass, BenchmarkBlockOffsets;
 // GraphR's 8×8 blocks, grouped by one sort of block keys: the occupancy
@@ -239,6 +241,33 @@ func loadDataset(b *testing.B, name string) *graph.Graph {
 		b.Fatal(err)
 	}
 	return g
+}
+
+// BenchmarkFunctionalRun runs each paper program to completion on each
+// Table 2 instance through algo.Run, the flat functional run behind
+// core.FunctionalSummary: a cache-off sweep pays for it once per
+// dataset × program. The instance and its weighted sibling are built
+// before the timer.
+func BenchmarkFunctionalRun(b *testing.B) {
+	for _, d := range graph.Datasets {
+		for _, p := range algo.All() {
+			w, err := core.WorkloadFor(d, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(d.Name+"/"+p.Name(), func(b *testing.B) {
+				var edges int64
+				for i := 0; i < b.N; i++ {
+					r, err := algo.Run(w.Program, w.Graph)
+					if err != nil {
+						b.Fatal(err)
+					}
+					edges = r.EdgesProcessed
+				}
+				b.ReportMetric(float64(edges), "edges/op")
+			})
+		}
+	}
 }
 
 func BenchmarkEdgeCentricIteration(b *testing.B) {

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -15,7 +16,11 @@ type State struct {
 	Prog   Program
 	Graph  *graph.Graph
 	Values []float64 // current vertex values (the "source" copy)
-	Accum  []float64 // gathered accumulators (the "destination" copy)
+	// Accum holds the gathered accumulators (the "destination" copy)
+	// from BeginIteration to EndIteration. Between iterations its
+	// contents are scratch: a kernelized min-gather or SpMV State swaps
+	// it with Values, so it then holds the previous iteration's values.
+	Accum  []float64
 	OutDeg []uint32
 	// Iteration counts completed iterations.
 	Iteration int
@@ -35,12 +40,39 @@ type State struct {
 	// kernel is the program's monomorphized edge loop (kernel.go), or
 	// nil to stream through the generic interface-dispatched path.
 	kernel EdgeKernel
+	// pass is the vertex pass a kernelized State runs in place of one
+	// AccumIdentity and one Apply call per vertex.
+	pass vertexPass
+	// updatedAtBegin is UpdatedGathers when the iteration began: the
+	// min pass's EndIteration reads the iteration's updates from it.
+	updatedAtBegin int64
 	// msg, for PageRank, holds each vertex's message
 	// Values[v]/OutDeg[v], computed once per iteration by
 	// BeginIteration instead of once per edge; the kernel scatters from
 	// it in place of Values.
 	msg []float64
 }
+
+// vertexPass selects the monomorphic vertex passes of a kernelized
+// State: BeginIteration seeds every accumulator and EndIteration applies
+// every vertex in one loop each, with the program's own arithmetic, so
+// values and the changed flag are bit for bit the per-vertex
+// interface path's.
+type vertexPass uint8
+
+const (
+	// passGeneric calls AccumIdentity and Apply per vertex.
+	passGeneric vertexPass = iota
+	// passMin is BFS, CC and SSSP: the accumulator starts as the value
+	// and Apply is (acc, acc != old).
+	passMin
+	// passRank is PageRank: a zero accumulator, then teleport plus
+	// damped mass with the epsilon test.
+	passRank
+	// passSum is SpMV: a zero accumulator and Apply is
+	// (acc, acc != old).
+	passSum
+)
 
 // NewState initializes program state on g.
 func NewState(p Program, g *graph.Graph) (*State, error) {
@@ -63,34 +95,59 @@ func NewState(p Program, g *graph.Graph) (*State, error) {
 	if kp, ok := p.(KernelProgram); ok {
 		s.kernel = kp.EdgeKernel()
 	}
-	if _, ok := p.(*PageRank); ok {
+	switch p.(type) {
+	case *BFS, *CC, *SSSP:
+		s.pass = passMin
+	case *PageRank:
+		s.pass = passRank
 		s.msg = make([]float64, g.NumVertices)
+	case *SpMV:
+		s.pass = passSum
 	}
 	return s, nil
 }
 
-// SetKernel overrides the edge kernel; nil forces the generic
-// interface-dispatched path (the oracle the equivalence tests stream
-// against).
+// SetKernel overrides the edge kernel between iterations; nil forces
+// the generic interface-dispatched path, edges and vertices alike (the
+// oracle the equivalence tests stream against).
 func (s *State) SetKernel(k EdgeKernel) { s.kernel = k }
 
 // Kernelized reports whether edge streaming runs through a specialized
 // kernel.
 func (s *State) Kernelized() bool { return s.kernel != nil }
 
+// vertexPass returns the vertex pass this iteration runs: the
+// program's on the kernel path, the generic one otherwise.
+func (s *State) vertexPass() vertexPass {
+	if s.kernel == nil {
+		return passGeneric
+	}
+	return s.pass
+}
+
 // BeginIteration seeds the accumulators and, for PageRank on the kernel
 // path, the per-vertex messages. Values are read-only until
 // EndIteration, so each message is the quotient every out-edge would
-// otherwise compute itself, bit for bit.
+// otherwise compute itself, bit for bit. On the kernel path the seeding
+// is one pass per iteration: a copy of the values for a min-gather, a
+// clear for a sum.
 func (s *State) BeginIteration() {
-	for v := range s.Accum {
-		s.Accum[v] = s.Prog.AccumIdentity(s.Values[v])
-	}
-	if s.kernel != nil && s.msg != nil {
+	switch s.vertexPass() {
+	case passMin:
+		copy(s.Accum, s.Values)
+		s.updatedAtBegin = s.UpdatedGathers
+	case passRank:
+		clear(s.Accum)
 		for v, d := range s.OutDeg {
 			if d != 0 {
 				s.msg[v] = s.Values[v] / float64(d)
 			}
+		}
+	case passSum:
+		clear(s.Accum)
+	default:
+		for v := range s.Accum {
+			s.Accum[v] = s.Prog.AccumIdentity(s.Values[v])
 		}
 	}
 }
@@ -124,7 +181,8 @@ func (s *State) ProcessEdges(edges []graph.Edge, weights []float32) {
 // ProcessEdgesInto streams edges like ProcessEdges but accumulates the
 // edge counters into ks instead of the State, so owner-disjoint parallel
 // callers can count per worker without write-sharing the State and merge
-// after their barrier. Accumulator writes still go to s.Accum — the
+// with AddStats after their barrier, before EndIteration reads the
+// counters. Accumulator writes still go to s.Accum — the
 // caller must guarantee the slices' destinations are owned by exactly
 // one concurrent invocation (values are only read).
 func (s *State) ProcessEdgesInto(ks *KernelStats, edges []graph.Edge, weights []float32) {
@@ -165,13 +223,30 @@ func (s *State) AddStats(ks KernelStats) {
 }
 
 // EndIteration applies the accumulators and reports whether any vertex
-// changed.
+// changed. On the kernel path a min-gather (BFS, CC, SSSP) applies by
+// swapping Values and Accum, and reads changed from the iteration's
+// UpdatedGathers: every counted update lowered its accumulator strictly
+// below the value it was seeded with, and an accumulator no update
+// touched still holds that value's bits. So the updates of edges
+// streamed through ProcessEdgesInto must be folded in with AddStats
+// before EndIteration, as every runner does after its step barrier.
 func (s *State) EndIteration() (changed bool) {
-	n := s.Graph.NumVertices
-	for v := range s.Values {
-		nv, ch := s.Prog.Apply(s.Values[v], s.Accum[v], n)
-		s.Values[v] = nv
-		changed = changed || ch
+	switch s.vertexPass() {
+	case passMin:
+		changed = s.UpdatedGathers != s.updatedAtBegin
+		s.Values, s.Accum = s.Accum, s.Values
+	case passRank:
+		changed = s.Prog.(*PageRank).applyAll(s.Values, s.Accum)
+	case passSum:
+		changed = !slices.Equal(s.Accum, s.Values)
+		s.Values, s.Accum = s.Accum, s.Values
+	default:
+		n := s.Graph.NumVertices
+		for v := range s.Values {
+			nv, ch := s.Prog.Apply(s.Values[v], s.Accum[v], n)
+			s.Values[v] = nv
+			changed = changed || ch
+		}
 	}
 	s.Iteration++
 	if !changed {

@@ -77,18 +77,16 @@ func (m *SpMV) EdgeKernel() EdgeKernel { return sumGatherWeightedKernel }
 
 // rankSumKernel is PageRank's inner loop: msgs[v] is the rank mass
 // src/outdeg a vertex with out-edges sends along each of them, computed
-// once per iteration by State.BeginIteration. It sum-gathers the
-// messages of sources with out-edges. The update test mirrors the
-// generic path exactly: a gather counts as an update iff the float sum
-// moved the accumulator (adding a denormal-small or zero message may
-// not).
-func rankSumKernel(msgs, accum []float64, outDeg []uint32, edges []graph.Edge, _ []float32) KernelStats {
-	st := KernelStats{Edges: int64(len(edges))}
+// once per iteration by State.BeginIteration. Every edge is active: the
+// generic Scatter suppresses only sources of out-degree 0, and an
+// edge's source has out-degree ≥ 1 because outDeg (the graph's
+// OutDegrees) counts that edge. The update test mirrors the generic
+// path exactly: a gather counts as an update iff the float sum moved
+// the accumulator (adding a denormal-small or zero message may not).
+func rankSumKernel(msgs, accum []float64, _ []uint32, edges []graph.Edge, _ []float32) KernelStats {
+	n := int64(len(edges))
+	st := KernelStats{Edges: n, Active: n}
 	for _, e := range edges {
-		if outDeg[e.Src] == 0 {
-			continue
-		}
-		st.Active++
 		acc := accum[e.Dst]
 		next := acc + msgs[e.Src]
 		if next != acc {

@@ -150,10 +150,28 @@ func (p *PageRank) Scatter(src float64, outDeg int, _ float32) (float64, bool) {
 // Gather implements Program.
 func (p *PageRank) Gather(acc, msg float64) float64 { return acc + msg }
 
-// Apply implements Program: teleport plus damped mass.
+// Apply implements Program: teleport plus damped mass. The explicit
+// conversion pins the product's rounding, as applyAll's does, so no
+// fused multiply-add can make the two differ.
 func (p *PageRank) Apply(old, acc float64, n int) (float64, bool) {
-	next := (1-p.Damping)/float64(n) + p.Damping*acc
+	next := (1-p.Damping)/float64(n) + float64(p.Damping*acc)
 	return next, math.Abs(next-old) > p.Epsilon
+}
+
+// applyAll is Apply over every vertex in one loop, values[v] taking
+// the place of old and accum[v] of acc; it reports whether any vertex
+// changed. The teleport term is the one Apply computes, hoisted.
+func (p *PageRank) applyAll(values, accum []float64) (changed bool) {
+	d, eps := p.Damping, p.Epsilon
+	teleport := (1 - d) / float64(len(values))
+	for v, acc := range accum {
+		next := teleport + float64(d*acc)
+		if math.Abs(next-values[v]) > eps {
+			changed = true
+		}
+		values[v] = next
+	}
+	return changed
 }
 
 // BFS computes hop distance from Root, edge-centric style: every

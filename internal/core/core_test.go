@@ -87,7 +87,9 @@ func TestPresetBindings(t *testing.T) {
 }
 
 // The blocked Algorithm 2 schedule must compute exactly what the flat
-// edge-centric oracle computes — for every program.
+// edge-centric oracle computes — for every program. Converged is held
+// too: the blocked run folds its counters in after every step, and a
+// min-gather's changed flag comes from them.
 func TestFunctionalEquivalence(t *testing.T) {
 	for _, name := range []string{"PR", "BFS", "CC", "SSSP", "SpMV"} {
 		t.Run(name, func(t *testing.T) {
@@ -102,6 +104,9 @@ func TestFunctionalEquivalence(t *testing.T) {
 			}
 			if got.Iterations != want.Iterations {
 				t.Errorf("iterations: %d vs %d", got.Iterations, want.Iterations)
+			}
+			if got.Converged != want.Converged {
+				t.Errorf("converged: %v vs %v", got.Converged, want.Converged)
 			}
 			if got.EdgesProcessed != want.EdgesProcessed {
 				t.Errorf("edges processed: %d vs %d", got.EdgesProcessed, want.EdgesProcessed)

@@ -10,6 +10,7 @@ package dynamic
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -29,7 +30,9 @@ type Store interface {
 	// DeleteEdge removes one occurrence of e; returns changed edges
 	// (1, or 0 if absent).
 	DeleteEdge(e graph.Edge) (int, error)
-	// AddVertex appends a fresh vertex and returns its id.
+	// AddVertex appends a fresh vertex and returns its id. It fails,
+	// changing nothing, when the vertex space already holds every
+	// graph.VertexID.
 	AddVertex() (graph.VertexID, int, error)
 	// DeleteVertex invalidates v (its value reads as invalid; the
 	// paper's "-1 for PageRank").
@@ -233,10 +236,21 @@ func outsideSpace(e graph.Edge, n int) error {
 	return nil
 }
 
+// noIDLeft is AddVertex's refusal when a vertex space of n ids holds
+// every graph.VertexID, or nil.
+func noIDLeft(n int) error {
+	if n > math.MaxUint32 {
+		return fmt.Errorf("dynamic: vertex space [0,%d) has no id left", n)
+	}
+	return nil
+}
+
 // NewHyVEStore lays out g under the assigner with the given slack
 // fraction (the paper's example: 0.3). It refuses the first edge in
-// edge order that AddEdge would refuse. The blocks are copied with their
-// slack; the index is one sorted array of the layout's (edge, slot)
+// edge order that AddEdge would refuse. Each block is sized with its
+// slack from the partition's block offsets (partition.SharedBlockOffsets)
+// and filled in edge order, the order partition.Build keeps inside a
+// block; the index is one sorted array of the layout's (edge, slot)
 // keys, which a request reads the first time it touches an edge.
 func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVEStore, error) {
 	if slack < 0 || slack > 1 {
@@ -247,7 +261,7 @@ func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVES
 			return nil, err
 		}
 	}
-	grid, err := partition.Build(g, asg)
+	offsets, err := partition.SharedBlockOffsets(g, asg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -262,11 +276,18 @@ func NewHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*HyVES
 		invalid:     map[graph.VertexID]bool{},
 		liveEdges:   int64(g.NumEdges()),
 	}
-	for x := 0; x < p; x++ {
-		for y := 0; y < p; y++ {
-			blk := grid.Block(x, y)
-			reserved := len(blk) + int(float64(len(blk))*slack) + 4
-			s.blocks[x*p+y] = dynBlock{edges: append(make([]graph.Edge, 0, reserved), blk...), reserved: reserved}
+	for b := range s.blocks {
+		n := int(offsets[b+1] - offsets[b])
+		reserved := n + int(float64(n)*slack) + 4
+		s.blocks[b] = dynBlock{edges: make([]graph.Edge, 0, reserved), reserved: reserved}
+	}
+	var ids [1024]int32
+	for lo := 0; lo < len(g.Edges); lo += len(ids) {
+		edges := g.Edges[lo:min(lo+len(ids), len(g.Edges))]
+		partition.BlockIDs(asg, edges, ids[:])
+		for i, e := range edges {
+			blk := &s.blocks[ids[i]]
+			blk.edges = append(blk.edges, e)
 		}
 	}
 	s.base = newBaseIndex(s.blocks, g.NumVertices)
@@ -283,8 +304,8 @@ func (s *HyVEStore) refs(e graph.Edge) refList {
 }
 
 func (s *HyVEStore) blockOf(e graph.Edge) (int, error) {
-	maxID := graph.VertexID(s.numVertices + s.vertexSlack)
-	if e.Src >= maxID || e.Dst >= maxID {
+	// In int: the vertex space plus its slack can pass 1<<32.
+	if maxID := s.numVertices + s.vertexSlack; int(e.Src) >= maxID || int(e.Dst) >= maxID {
 		return 0, fmt.Errorf("dynamic: edge %v outside vertex space", e)
 	}
 	p := s.asg.P()
@@ -364,6 +385,9 @@ func (s *HyVEStore) DeleteEdge(e graph.Edge) (int, error) {
 // edges, cannot be overflow-linked because their access is not
 // sequential).
 func (s *HyVEStore) AddVertex() (graph.VertexID, int, error) {
+	if err := noIDLeft(s.numVertices); err != nil {
+		return 0, 0, err
+	}
 	if s.vertexSlack == 0 {
 		// Re-preprocess: rebuild the vertex space with fresh slack. The
 		// blocks are keyed by modulo interval, so growing the id space

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -12,7 +13,10 @@ import (
 // key's refs in one map, and every non-empty GraphR block allocated at
 // load. The code below is theirs with the type and constructor names
 // changed, the maps' size hints dropped (an oracle needs no presizing)
-// and a stale clause about a timed Replay dropped from a comment. The differential tests (stores_test.go)
+// and a stale clause about a timed Replay dropped from a comment; and
+// with the fix of both id-space wraps at 1<<32, which the stores share:
+// blockOf compares in int, and AddVertex refuses once every
+// graph.VertexID is in use. The differential tests (stores_test.go)
 // require the lazy stores to match them request for request.
 
 // eagerHyVEStore is the paper's layout: P² blocks, each with reserved slack
@@ -83,8 +87,7 @@ func newEagerHyVEStore(g *graph.Graph, asg partition.Assigner, slack float64) (*
 }
 
 func (s *eagerHyVEStore) blockOf(e graph.Edge) (int, error) {
-	maxID := graph.VertexID(s.numVertices + s.vertexSlack)
-	if e.Src >= maxID || e.Dst >= maxID {
+	if maxID := s.numVertices + s.vertexSlack; int(e.Src) >= maxID || int(e.Dst) >= maxID {
 		return 0, fmt.Errorf("dynamic: edge %v outside vertex space", e)
 	}
 	p := s.asg.P()
@@ -169,6 +172,9 @@ func (s *eagerHyVEStore) DeleteEdge(e graph.Edge) (int, error) {
 // edges, cannot be overflow-linked because their access is not
 // sequential).
 func (s *eagerHyVEStore) AddVertex() (graph.VertexID, int, error) {
+	if s.numVertices > math.MaxUint32 {
+		return 0, 0, fmt.Errorf("dynamic: vertex space [0,%d) has no id left", s.numVertices)
+	}
 	if s.vertexSlack == 0 {
 		// Re-preprocess: rebuild the vertex space with fresh slack. The
 		// blocks are keyed by modulo interval, so growing the id space
@@ -365,6 +371,9 @@ func (s *eagerGraphRStore) DeleteEdge(e graph.Edge) (int, error) {
 
 // AddVertex implements Store.
 func (s *eagerGraphRStore) AddVertex() (graph.VertexID, int, error) {
+	if s.numVertices > math.MaxUint32 {
+		return 0, 0, fmt.Errorf("dynamic: vertex space [0,%d) has no id left", s.numVertices)
+	}
 	id := graph.VertexID(s.numVertices)
 	s.numVertices++
 	return id, 1, nil

@@ -150,6 +150,9 @@ func (s *GraphRStore) DeleteEdge(e graph.Edge) (int, error) {
 
 // AddVertex implements Store.
 func (s *GraphRStore) AddVertex() (graph.VertexID, int, error) {
+	if err := noIDLeft(s.numVertices); err != nil {
+		return 0, 0, err
+	}
 	id := graph.VertexID(s.numVertices)
 	s.numVertices++
 	return id, 1, nil

@@ -263,3 +263,53 @@ func TestNewHyVEStoreRefusesFirstOutOfRangeEdge(t *testing.T) {
 		}
 	}
 }
+
+// On a graph of all 1<<32 ids, the vertex space plus HyVE's vertex
+// slack passes 1<<32: every id lies in the space, so both stores and
+// their eager oracles accept an edge between any two ids, those past
+// the slack's wrap point included, and no id is left for AddVertex,
+// which must refuse rather than hand out id 0 again.
+func TestStoresAtFullIDSpace(t *testing.T) {
+	g := storeGraphs(t)["high"]
+	asg, err := partition.NewHashed(g.NumVertices, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := NewHyVEStore(g, asg, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ohy, err := newEagerHyVEStore(g, asg, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := NewGraphRStore(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ogr, err := newEagerGraphRStore(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]Store{"HyVE": hy, "eager HyVE": ohy, "GraphR": gr, "eager GraphR": ogr}
+	// 1288490188 = 0.3·(1<<32) rounded up: the first id the wrapped
+	// bound refused.
+	const wrap, top = 1288490188, math.MaxUint32
+	for _, e := range []graph.Edge{{Src: wrap, Dst: 0}, {Src: 0, Dst: wrap}, {Src: top, Dst: wrap + 1}, {Src: 1 << 31, Dst: top}} {
+		for name, s := range stores {
+			if n, err := s.AddEdge(e); n != 1 || err != nil {
+				t.Fatalf("%s: AddEdge(%v) = %d, %v", name, e, n, err)
+			}
+		}
+	}
+	const want = "dynamic: vertex space [0,4294967296) has no id left"
+	for name, s := range stores {
+		if id, n, err := s.AddVertex(); n != 0 || err == nil || err.Error() != want {
+			t.Fatalf("%s: AddVertex = %d, %d, %v; want the refusal %q", name, id, n, err, want)
+		}
+	}
+	if hy.NumVertices() != 1<<32 || hy.Repreprocess != 0 || gr.numVertices != 1<<32 {
+		t.Fatalf("refused AddVertex changed the stores: HyVE |V| %d, %d re-preprocesses; GraphR |V| %d",
+			hy.NumVertices(), hy.Repreprocess, gr.numVertices)
+	}
+}

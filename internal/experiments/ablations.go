@@ -227,8 +227,10 @@ func runAblationModel(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
+		// The edge-centric counts are the graph's memoized BFS summary,
+		// which Table 4's BFS points run first in a figures round.
 		prog := algo.NewBFS(0)
-		ec, err := algo.Run(prog, g)
+		ec, err := core.FunctionalSummary(g, prog)
 		if err != nil {
 			return err
 		}

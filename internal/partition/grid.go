@@ -214,18 +214,19 @@ func tally(a Assigner, edges []graph.Edge, ids []int32, counts []int64) {
 		if ids != nil {
 			w = ids[lo:hi]
 		}
-		blockIDs(a, edges[lo:hi], w)
+		BlockIDs(a, edges[lo:hi], w)
 		for _, b := range w {
 			counts[b]++
 		}
 	}
 }
 
-// blockIDs writes the block id of edges[i] into ids[i]. The two
-// production assigners get monomorphized loops — the
-// interface-dispatched fallback costs three dynamic calls per edge,
-// which at hundreds of millions of edges is the dominant build cost.
-func blockIDs(a Assigner, edges []graph.Edge, ids []int32) {
+// BlockIDs writes the block id x·P + y of edges[i] into ids[i]; ids
+// must hold at least len(edges) entries. The two production assigners
+// get monomorphized loops — the interface-dispatched fallback costs
+// three dynamic calls per edge, which at hundreds of millions of edges
+// is the dominant build cost.
+func BlockIDs(a Assigner, edges []graph.Edge, ids []int32) {
 	ids = ids[:len(edges)]
 	switch t := a.(type) {
 	case *Hashed:
