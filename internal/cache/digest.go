@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 
 	"repro/internal/algo"
@@ -42,52 +41,45 @@ type Digest [sha256.Size]byte
 // String renders the digest as lowercase hex (the on-disk file name).
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
-// Hasher accumulates tagged fields into a canonical digest. Every write
+// Hasher accumulates tagged fields into a canonical digest. Every field
 // is framed as tag NUL type-byte payload, so adjacent fields can never
 // alias each other regardless of value bytes; tags are plain ASCII
-// without NULs by convention.
+// without NULs by convention. Fields are appended to one buffer and Sum
+// hashes it in one call, so a field costs an append, not a hash write.
 type Hasher struct {
-	h   hash.Hash
-	buf [9]byte
+	buf []byte
 }
 
-// NewHasher starts a digest computation.
-func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
+// NewHasher starts a digest computation. Its buffer starts large enough
+// for a point's fields (PointDigest serializes 1.2–1.6 KB).
+func NewHasher() *Hasher { return &Hasher{buf: make([]byte, 0, 2048)} }
 
 func (h *Hasher) frame(tag string, kind byte) {
-	h.h.Write([]byte(tag))
-	h.buf[0] = 0
-	h.buf[1] = kind
-	h.h.Write(h.buf[:2])
+	h.buf = append(append(h.buf, tag...), 0, kind)
 }
 
 // Str folds a length-framed string field.
 func (h *Hasher) Str(tag, v string) {
 	h.frame(tag, 's')
-	binary.LittleEndian.PutUint64(h.buf[:8], uint64(len(v)))
-	h.h.Write(h.buf[:8])
-	h.h.Write([]byte(v))
+	h.buf = append(binary.LittleEndian.AppendUint64(h.buf, uint64(len(v))), v...)
 }
 
 // U64 folds an unsigned integer field.
 func (h *Hasher) U64(tag string, v uint64) {
 	h.frame(tag, 'u')
-	binary.LittleEndian.PutUint64(h.buf[:8], v)
-	h.h.Write(h.buf[:8])
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, v)
 }
 
 // I64 folds a signed integer field.
 func (h *Hasher) I64(tag string, v int64) {
 	h.frame(tag, 'i')
-	binary.LittleEndian.PutUint64(h.buf[:8], uint64(v))
-	h.h.Write(h.buf[:8])
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
 }
 
 // F64 folds a float field by its exact bit pattern.
 func (h *Hasher) F64(tag string, v float64) {
 	h.frame(tag, 'f')
-	binary.LittleEndian.PutUint64(h.buf[:8], math.Float64bits(v))
-	h.h.Write(h.buf[:8])
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, math.Float64bits(v))
 }
 
 // Bool folds a boolean field.
@@ -97,15 +89,11 @@ func (h *Hasher) Bool(tag string, v bool) {
 		b = 1
 	}
 	h.frame(tag, 'b')
-	h.h.Write([]byte{b})
+	h.buf = append(h.buf, b)
 }
 
 // Sum finishes the computation.
-func (h *Hasher) Sum() Digest {
-	var d Digest
-	h.h.Sum(d[:0])
-	return d
-}
+func (h *Hasher) Sum() Digest { return sha256.Sum256(h.buf) }
 
 // GraphDigest hashes the graph's actual content — vertex count, the edge
 // list, and weights when present — so two differently labeled or

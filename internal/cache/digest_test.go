@@ -1,6 +1,11 @@
 package cache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -295,4 +300,124 @@ func TestHasherFraming(t *testing.T) {
 	if u.Sum() == i.Sum() {
 		t.Error("u64 and i64 with equal bits collide")
 	}
+}
+
+// streamHasher is the Hasher as it was before it buffered: every frame,
+// length and payload goes to sha256 as its own write. It is the oracle
+// FuzzHasherMatchesStream holds the buffered Hasher to, byte for byte.
+type streamHasher struct {
+	h   hash.Hash
+	buf [9]byte
+}
+
+func newStreamHasher() *streamHasher { return &streamHasher{h: sha256.New()} }
+
+func (h *streamHasher) frame(tag string, kind byte) {
+	h.h.Write([]byte(tag))
+	h.buf[0] = 0
+	h.buf[1] = kind
+	h.h.Write(h.buf[:2])
+}
+
+func (h *streamHasher) Str(tag, v string) {
+	h.frame(tag, 's')
+	binary.LittleEndian.PutUint64(h.buf[:8], uint64(len(v)))
+	h.h.Write(h.buf[:8])
+	h.h.Write([]byte(v))
+}
+
+func (h *streamHasher) U64(tag string, v uint64) {
+	h.frame(tag, 'u')
+	binary.LittleEndian.PutUint64(h.buf[:8], v)
+	h.h.Write(h.buf[:8])
+}
+
+func (h *streamHasher) I64(tag string, v int64) {
+	h.frame(tag, 'i')
+	binary.LittleEndian.PutUint64(h.buf[:8], uint64(v))
+	h.h.Write(h.buf[:8])
+}
+
+func (h *streamHasher) F64(tag string, v float64) {
+	h.frame(tag, 'f')
+	binary.LittleEndian.PutUint64(h.buf[:8], math.Float64bits(v))
+	h.h.Write(h.buf[:8])
+}
+
+func (h *streamHasher) Bool(tag string, v bool) {
+	b := byte(0)
+	if v {
+		b = 1
+	}
+	h.frame(tag, 'b')
+	h.h.Write([]byte{b})
+}
+
+func (h *streamHasher) Sum() Digest {
+	var d Digest
+	h.h.Sum(d[:0])
+	return d
+}
+
+// FuzzHasherMatchesStream decodes its input into a sequence of field
+// calls and requires the buffered Hasher and the streaming oracle to sum
+// alike. An op byte picks Str, U64, I64, F64 or Bool; a length byte
+// sizes the tag, and a string value; eight bytes carry a number and one
+// byte a bool.
+func FuzzHasherMatchesStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x06schema\x0dhyve/point/v2\x01\x03pus\x10\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("\x03\x04sync\x9a\x99\x99\x99\x99\x99\xb9\x3f\x04\x06gating\x01\x02\x01t\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add(bytes.Repeat([]byte{0, 1, 'a', 2, 'x', 'y'}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// take returns the next n bytes of data, fewer at its end.
+		take := func(n int) []byte {
+			n = min(n, len(data))
+			b := data[:n]
+			data = data[n:]
+			return b
+		}
+		word := func() uint64 {
+			var w [8]byte
+			copy(w[:], take(8))
+			return binary.LittleEndian.Uint64(w[:])
+		}
+		h, oracle := NewHasher(), newStreamHasher()
+		for len(data) > 0 {
+			op := take(1)[0] % 5
+			var tag string
+			if n := take(1); len(n) == 1 {
+				tag = string(take(int(n[0])))
+			}
+			switch op {
+			case 0:
+				var v string
+				if n := take(1); len(n) == 1 {
+					v = string(take(int(n[0])))
+				}
+				h.Str(tag, v)
+				oracle.Str(tag, v)
+			case 1:
+				v := word()
+				h.U64(tag, v)
+				oracle.U64(tag, v)
+			case 2:
+				v := int64(word())
+				h.I64(tag, v)
+				oracle.I64(tag, v)
+			case 3:
+				v := math.Float64frombits(word())
+				h.F64(tag, v)
+				oracle.F64(tag, v)
+			case 4:
+				b := take(1)
+				v := len(b) == 1 && b[0]&1 == 1
+				h.Bool(tag, v)
+				oracle.Bool(tag, v)
+			}
+		}
+		if got, want := h.Sum(), oracle.Sum(); got != want {
+			t.Fatalf("buffered Hasher sums to %s, streaming oracle to %s", got, want)
+		}
+	})
 }
