@@ -222,7 +222,7 @@ func runOne(w io.Writer, spec point.Spec, verbose bool, mode outputMode) error {
 			return err
 		}
 	default:
-		payload, err := point.Run(context.Background(), cache.Off(), spec)
+		payload, _, err := point.Run(context.Background(), cache.Off(), spec)
 		if err != nil {
 			return err
 		}

@@ -103,14 +103,12 @@ func (s *store) get(d Digest) (*core.Result, bool) {
 	return r, true
 }
 
-// put stores the result for d atomically. Errors are returned so drivers
-// can surface a broken cache directory, but callers treat the store as
-// best-effort: a failed put only costs a future re-execution.
-func (s *store) put(d Digest, r *core.Result) error {
-	payload, err := EncodeResult(r)
-	if err != nil {
-		return err
-	}
+// put stores payload, the canonical document (EncodeResult) of d's
+// result, atomically: it wraps the payload and encodes no result.
+// Errors are returned so drivers can surface a broken cache directory,
+// but callers treat the store as best-effort: a failed put only costs a
+// future re-execution.
+func (s *store) put(d Digest, payload []byte) error {
 	path := s.path(d)
 	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return fmt.Errorf("cache: %w", err)

@@ -21,6 +21,15 @@ func testResult(t *testing.T) (Digest, *core.Result) {
 	return mustDigest(t, cfg, w), r
 }
 
+func mustEncode(t *testing.T, r *core.Result) []byte {
+	t.Helper()
+	doc, err := EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 func TestEncodeResultRoundTrip(t *testing.T) {
 	_, r := testResult(t)
 	first, err := EncodeResult(r)
@@ -55,7 +64,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok := s.get(d); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	if err := s.put(d, r); err != nil {
+	if err := s.put(d, mustEncode(t, r)); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.get(d)
@@ -82,7 +91,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreSurvivesKillMidWrite(t *testing.T) {
 	d, r := testResult(t)
 	s := &store{dir: t.TempDir()}
-	if err := s.put(d, r); err != nil {
+	if err := s.put(d, mustEncode(t, r)); err != nil {
 		t.Fatal(err)
 	}
 	full, err := os.ReadFile(s.path(d))
@@ -98,7 +107,7 @@ func TestStoreSurvivesKillMidWrite(t *testing.T) {
 	if _, ok := s.get(d); ok {
 		t.Error("truncated document reported as a hit")
 	}
-	if err := s.put(d, r); err != nil {
+	if err := s.put(d, mustEncode(t, r)); err != nil {
 		t.Fatalf("repairing put failed: %v", err)
 	}
 	if _, ok := s.get(d); !ok {
@@ -139,7 +148,7 @@ func TestStoreRejectsForeignDocuments(t *testing.T) {
 
 	// A document stored for a different digest (file moved or copied
 	// between entries) must not resolve.
-	if err := s.put(d, r); err != nil {
+	if err := s.put(d, mustEncode(t, r)); err != nil {
 		t.Fatal(err)
 	}
 	moved, err := os.ReadFile(s.path(d))
@@ -176,7 +185,7 @@ func TestPutDoesNotRecreateRemovedRoot(t *testing.T) {
 	d, r := testResult(t)
 	root := filepath.Join(t.TempDir(), "not", "yet", "cache")
 	s := New(Config{Dir: root})
-	if err := s.disk.put(d, r); err != nil {
+	if err := s.disk.put(d, mustEncode(t, r)); err != nil {
 		t.Fatalf("put under a root New created: %v", err)
 	}
 	if _, ok := s.disk.get(d); !ok {
@@ -185,7 +194,7 @@ func TestPutDoesNotRecreateRemovedRoot(t *testing.T) {
 	if err := os.RemoveAll(root); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.disk.put(d, r); err == nil {
+	if err := s.disk.put(d, mustEncode(t, r)); err == nil {
 		t.Error("put under a removed root succeeded")
 	}
 	if _, err := os.Stat(root); !errors.Is(err, fs.ErrNotExist) {

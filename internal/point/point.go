@@ -144,17 +144,16 @@ func (s Spec) config() (core.Config, error) {
 
 // Run resolves a spec, submits it through sched, and returns the
 // canonical hyve/result/v1 document (cache.EncodeResult) — the bytes
-// hyve-sim -result prints and hyve-serve returns.
-func Run(ctx context.Context, sched *cache.Scheduler, s Spec) ([]byte, error) {
+// hyve-sim -result prints and hyve-serve returns — with the digest the
+// scheduler named the point by (cache.Scheduler.Document: zero under
+// cache.Off, which digests nothing). A cached document is the
+// scheduler's own slice and must not be modified.
+func Run(ctx context.Context, sched *cache.Scheduler, s Spec) ([]byte, cache.Digest, error) {
 	cfg, w, err := s.Resolve()
 	if err != nil {
-		return nil, err
+		return nil, cache.Digest{}, err
 	}
-	r, err := sched.SimulateCtx(ctx, cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	return cache.EncodeResult(r)
+	return sched.Document(ctx, cfg, w)
 }
 
 // Sweep is the cross product of three name lists under one SRAM

@@ -23,7 +23,10 @@
 //
 // Served bytes are the cache-hit-identity invariant extended to the
 // wire: a point response body is byte-identical to cache.EncodeResult
-// of a direct core.Simulate of the same point.
+// of a direct core.Simulate of the same point. Every point resolves
+// through point.Run, so a request digests its point once and a cached
+// point is answered with the document the scheduler stored, encoded
+// when the result entered the cache.
 package serve
 
 import (
@@ -40,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/point"
@@ -129,9 +131,10 @@ type Server struct {
 	inflightN atomic.Int64
 	draining  atomic.Bool
 
-	// simulate is the execution seam: cache.Scheduler.SimulateCtx in
-	// production, a gated fake in the drain/cancellation tests.
-	simulate func(ctx context.Context, cfg core.Config, w core.Workload) (*core.Result, error)
+	// simulate is the execution seam: point.Run through the server's
+	// scheduler in production, answering with the point's canonical
+	// document and digest; a gated fake in the drain/cancellation tests.
+	simulate func(ctx context.Context, spec point.Spec) ([]byte, cache.Digest, error)
 
 	log *obs.Logger
 }
@@ -157,7 +160,9 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, parallel.Workers(cfg.Workers)),
 		log:      cfg.Log,
 	}
-	s.simulate = s.sched.SimulateCtx
+	s.simulate = func(ctx context.Context, spec point.Spec) ([]byte, cache.Digest, error) {
+		return point.Run(ctx, s.sched, spec)
+	}
 	return s
 }
 
@@ -298,9 +303,9 @@ func (e errBreakerOpen) Error() string {
 }
 
 // execPoint runs one parsed spec under the breaker and the global slot
-// pool and returns the result and its content digest. The workload is
-// assembled here, inside the slot, not at parse time.
-func (s *Server) execPoint(ctx context.Context, spec point.Spec) (*core.Result, string, error) {
+// pool and returns its canonical document and content digest. The
+// workload is assembled inside the slot, not at parse time.
+func (s *Server) execPoint(ctx context.Context, spec point.Spec) ([]byte, string, error) {
 	rec := obs.Default()
 	br := s.breakers.get(spec.Dataset)
 	allowed, retryAfter := br.Allow()
@@ -328,22 +333,17 @@ func (s *Server) execPoint(ctx context.Context, spec point.Spec) (*core.Result, 
 	}
 	defer func() { <-s.sem }()
 
-	cfg, w, err := spec.Resolve()
-	if err != nil {
-		outcome(err)
-		return nil, "", err
-	}
+	doc, d, err := s.simulate(ctx, spec)
+	outcome(err)
 	var digest string
-	if d, derr := cache.PointDigest(cfg, w); derr == nil {
+	if d != (cache.Digest{}) {
 		digest = d.String()
 	}
-	res, err := s.simulate(ctx, cfg, w)
-	outcome(err)
 	if err != nil {
 		return nil, digest, err
 	}
 	rec.Count(MetricPointsServed, 1)
-	return res, digest, nil
+	return doc, digest, nil
 }
 
 // errStatus maps an execution error to its HTTP status.
@@ -404,16 +404,11 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		"dataset", req.Dataset, "algo", req.Algo, "config", req.Config)
 	defer sp.End()
 
-	res, digest, err := s.execPoint(ctx, spec)
+	doc, digest, err := s.execPoint(ctx, spec)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		s.logRequest("point", runID, r, err)
 		reject(w, errStatus(err), retryAfterOf(err), err.Error(), runID)
-		return
-	}
-	payload, err := cache.EncodeResult(res)
-	if err != nil {
-		reject(w, http.StatusInternalServerError, 0, err.Error(), runID)
 		return
 	}
 	// The body is exactly the canonical result document — byte-identical
@@ -422,7 +417,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Hyve-Point-Digest", digest)
 	w.Header().Set("X-Hyve-Result-Schema", cache.ResultSchema)
-	_, _ = w.Write(payload)
+	_, _ = w.Write(doc)
 	s.logRequest("point", runID, r, nil)
 }
 
@@ -566,7 +561,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// dataset-major order as soon as each index (and all before it) has
 	// finished, so the result sequence is deterministic while progress
 	// still streams during the run.
-	results := make([]*core.Result, n)
+	docs := make([][]byte, n)
 	digests := make([]string, n)
 	errs := make([]error, n)
 	done := make([]chan struct{}, n)
@@ -576,7 +571,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	poolErr := make(chan error, 1)
 	go func() {
 		poolErr <- parallel.ForEachCtx(ctx, cap(s.sem), n, func(i int) error {
-			results[i], digests[i], errs[i] = s.execPoint(ctx, specs[i])
+			docs[i], digests[i], errs[i] = s.execPoint(ctx, specs[i])
 			close(done[i])
 			return nil // per-point failures stream as events, they never kill the sweep
 		})
@@ -603,15 +598,9 @@ emitLoop:
 			ev.Event, ev.Error = "error", errs[i].Error()
 			failed++
 		} else {
-			payload, err := cache.EncodeResult(results[i])
-			if err != nil {
-				ev.Event, ev.Error = "error", err.Error()
-				failed++
-			} else {
-				ev.Event = "point"
-				ev.Result = json.RawMessage(payload)
-				completed++
-			}
+			ev.Event = "point"
+			ev.Result = json.RawMessage(docs[i])
+			completed++
 		}
 		emit(ev)
 	}
