@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -258,4 +259,18 @@ func TestStateStepwiseMatchesRun(t *testing.T) {
 		s.EndIteration()
 	}
 	sameValues(t, "stepwise PR", s.Values, want.Values, 0)
+}
+
+// TestCompareResultsComparesBits: CompareResults promises bit-identical
+// values, so a +0 against a −0 fails, though the two compare equal as
+// floats; equal bit patterns pass, a NaN included.
+func TestCompareResultsComparesBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if err := CompareResults("zeros", &Result{Values: []float64{0}}, &Result{Values: []float64{negZero}}); err == nil {
+		t.Error("{+0} against {−0} passed as bit-identical")
+	}
+	same := []float64{0, negZero, 1.5, math.Inf(1), math.NaN()}
+	if err := CompareResults("same", &Result{Values: same}, &Result{Values: slices.Clone(same)}); err != nil {
+		t.Errorf("equal bit patterns failed: %v", err)
+	}
 }

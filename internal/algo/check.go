@@ -9,7 +9,8 @@ import (
 
 // CompareValues checks two vertex-value vectors element-wise: absolute
 // difference up to tol for small magnitudes, relative above. Matching
-// infinities (Unreached) compare equal. A tol of 0 demands bit equality.
+// infinities (Unreached) compare equal. A tol of 0 demands equal
+// values, with +0 equal to −0; CompareResults demands equal bits.
 func CompareValues(label string, got, want []float64, tol float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("algo: %s: %d values, want %d", label, len(got), len(want))
@@ -33,11 +34,18 @@ func CompareValues(label string, got, want []float64, tol float64) error {
 }
 
 // CompareResults demands two runs be indistinguishable: bit-identical
-// values (±0 and matching infinities compare equal) and identical
-// iteration and edge/active/updated counters.
+// values (compared by math.Float64bits, so +0 and −0 differ and a NaN
+// matches only its own bit pattern) and identical iteration and
+// edge/active/updated counters.
 func CompareResults(label string, got, want *Result) error {
-	if err := CompareValues(label, got.Values, want.Values, 0); err != nil {
-		return err
+	if len(got.Values) != len(want.Values) {
+		return fmt.Errorf("algo: %s: %d values, want %d", label, len(got.Values), len(want.Values))
+	}
+	for v, a := range got.Values {
+		if b := want.Values[v]; math.Float64bits(a) != math.Float64bits(b) {
+			return fmt.Errorf("algo: %s: vertex %d: got %v (bits %#016x), want %v (bits %#016x)",
+				label, v, a, math.Float64bits(a), b, math.Float64bits(b))
+		}
 	}
 	if got.Iterations != want.Iterations || got.Converged != want.Converged {
 		return fmt.Errorf("algo: %s: iterations %d/converged %v, want %d/%v",
