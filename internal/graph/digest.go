@@ -15,7 +15,7 @@ import (
 // into v2 container headers at write time.
 //
 // The hash is computed once per instance and memoized on the graph
-// (sync.Once, as OutDegrees), which the immutability contract on Graph
+// (a sync.Once), which the immutability contract on Graph
 // makes safe; it dies with the graph.
 //
 // Edge order matters and must: the grid build (and therefore every

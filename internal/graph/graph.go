@@ -50,9 +50,6 @@ type Graph struct {
 	Edges       []Edge
 	Weights     []float32
 
-	outDegOnce sync.Once
-	outDeg     []uint32
-
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
 
@@ -97,24 +94,28 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// outDegreesKey keys the out-degree array in a graph's EdgeMemo table.
+type outDegreesKey struct{}
+
 // OutDegrees returns the out-degree of every vertex. The scan runs once
-// per graph and the result is memoized: every later call (from any
-// goroutine — the memo is a sync.Once) returns the same shared slice.
-// Callers must treat it as read-only, and per the immutability contract
-// on Graph the edge list must not be mutated after the first call.
+// per edge array and the result is memoized in its EdgeMemo table:
+// every later call (from any goroutine), on g or on a weighted sibling
+// that shares its edges, returns the same shared slice. Callers must
+// treat it as read-only, and per the immutability contract on Graph the
+// edge list must not be mutated after the first call.
 //
 // Degrees are uint32 (4 bytes/vertex instead of int's 8): a single
 // vertex with more than 2³² out-edges is beyond even the paper's
 // billion-edge graphs, and halving the array matters at full scale.
 func (g *Graph) OutDegrees() []uint32 {
-	g.outDegOnce.Do(func() {
+	v, _ := g.EdgeMemo(outDegreesKey{}, func() (any, error) {
 		deg := make([]uint32, g.NumVertices)
 		for _, e := range g.Edges {
 			deg[e.Src]++
 		}
-		g.outDeg = deg
+		return deg, nil
 	})
-	return g.outDeg
+	return v.([]uint32)
 }
 
 // InDegrees returns the in-degree of every vertex.

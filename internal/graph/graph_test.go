@@ -475,3 +475,18 @@ func TestOutDegreesMemoized(t *testing.T) {
 		t.Error("Clone shares the out-degree memo with the original")
 	}
 }
+
+// A weighted sibling shares its parent's edge array, so it shares the
+// out-degree array too: whichever asks first scans the edges, and the
+// other gets the same backing array, not a second copy.
+func TestOutDegreesSharedWithWeightedSibling(t *testing.T) {
+	g := &Graph{NumVertices: 64, Edges: mustChain(t, 64).Edges}
+	sib := g.WithUniformWeights(8, 1)
+	if &sib.OutDegrees()[0] != &g.OutDegrees()[0] {
+		t.Error("weighted sibling scanned its own out-degree array")
+	}
+	other := g.WithUniformWeights(8, 2)
+	if &g.OutDegrees()[0] != &other.OutDegrees()[0] {
+		t.Error("second sibling scanned its own out-degree array")
+	}
+}
