@@ -13,27 +13,35 @@ package repro
 // walk of a warm point, up to TW's 102,400 blocks,
 // BenchmarkSimulateHyVEOptPR; GraphR's crossbar emulation; dynamic
 // updates, whose replays pay each edge's and block's first lookup in
-// the stores' sorted bases). End-to-end numbers — every paper
-// experiment, sweeps, the service — come from the repository benchmark
-// under bench/.
+// the stores' sorted bases; a point's canonical digest,
+// BenchmarkPointDigest, and one warm /point answered from the result
+// cache through an in-process service, BenchmarkServedHit). End-to-end
+// numbers — every paper experiment, sweeps, the service — come from the
+// repository benchmark under bench/.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem -run '^$' .
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/graphr"
 	"repro/internal/partition"
 	"repro/internal/point"
+	"repro/internal/serve"
 )
 
 func benchGraph(b *testing.B) *graph.Graph {
@@ -387,4 +395,54 @@ func BenchmarkDynamicReplayGraphR(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(reqs)), "requests/op")
+}
+
+// BenchmarkPointDigest digests YT/PR/hyve-opt, as every cached
+// submission does before its lookup. The graph's content digest is
+// memoized on the instance, so this times the field serialization and
+// its one hash.
+func BenchmarkPointDigest(b *testing.B) {
+	cfg, w, err := point.Spec{Dataset: "YT", Algo: "PR", Config: "hyve-opt"}.Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cache.PointDigest(cfg, w); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cache.PointDigest(cfg, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServedHit times one warm /point for YT/PR/hyve-opt through
+// an in-process service on a loopback connection: the request's parse,
+// admission, digest and memory hit, and its body on the wire. The client
+// side of the round trip is included.
+func BenchmarkServedHit(b *testing.B) {
+	srv := serve.New(serve.Config{Sched: cache.New(cache.Config{}), Rate: 1e6, Burst: 1 << 20})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	req := []byte(`{"dataset":"YT","algo":"PR","config":"hyve-opt"}`)
+	hit := func() {
+		resp, err := client.Post(ts.URL+"/point", "application/json", bytes.NewReader(req))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, %v", resp.StatusCode, err)
+		}
+	}
+	hit() // the miss that fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+	}
 }
