@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-module vet race bench bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke check
+.PHONY: all build test bench-module vet race bench bench-smoke fma-check fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke check
 
 all: build
 
@@ -37,6 +37,22 @@ bench:
 # iteration each), catching bit-rot without burning CI minutes.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# fma-check fails when the arm64 compiler fuses a floating-point
+# multiply-add in the R-MAT generator or its RNG (gen.go, rng.go). A
+# fused noise factor is rounded once where amd64 rounds it twice, which
+# can flip a quadrant and so change every generated graph; explicit
+# float64(...) conversions keep each product rounded. The assembly
+# listing is the compiler's, which go replays from the build cache, so
+# the check also holds on a warm cache; an empty listing fails.
+fma-check:
+	@listing=$$(GOARCH=arm64 $(GO) build -gcflags='repro/internal/graph=-S' ./internal/graph 2>&1) || \
+		{ echo "$$listing" | tail -20; exit 1; }; \
+	echo "$$listing" | grep -q '/internal/graph/gen\.go:' || \
+		{ echo "fma-check: no arm64 listing of internal/graph/gen.go"; exit 1; }; \
+	fused=$$(echo "$$listing" | grep -E '/internal/graph/(gen|rng)\.go:[0-9]+\)[[:space:]]+F(N)?M(ADD|SUB)D'); \
+	if [ -n "$$fused" ]; then echo "fma-check: fused multiply-adds in the R-MAT generator:"; echo "$$fused"; exit 1; fi
+	@echo fma-check: no fused multiply-add in internal/graph/gen.go or rng.go
 
 # cache-smoke is the content-addressed cache's end-to-end gate: a cold
 # quick run populates the on-disk store, a warm run replays entirely
@@ -137,4 +153,4 @@ fault-smoke:
 	timeout 15s $(GO) run ./cmd/hyve-bench -quick -run reliability
 	$(GO) run ./cmd/hyve-check -seed 1 -duration 10s -point-timeout 60s
 
-check: vet build test bench-module race
+check: vet build test bench-module race fma-check

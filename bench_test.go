@@ -2,7 +2,8 @@ package repro
 
 // Micro-benchmarks for the load-bearing substrate operations
 // (generation, including each Table 2 instance in
-// BenchmarkDatasetGenerate; the flat functional run of every Table 2
+// BenchmarkDatasetGenerate and the R-MAT pick on one lane and on two in
+// lockstep, BenchmarkRMATPick; the flat functional run of every Table 2
 // dataset × program that a cache-off sweep point pays for,
 // BenchmarkFunctionalRun; a prepared container's load against
 // regeneration, each followed by the count pass a point runs; the grid
@@ -77,6 +78,32 @@ func BenchmarkRMATGenerateWorkers(b *testing.B) {
 				}
 			}
 			b.ReportMetric(524_288, "edges/op")
+		})
+	}
+}
+
+// BenchmarkRMATPick times the R-MAT pick apart from the fill, on TW's
+// quadrant parameters at 16 levels: with 65,536 vertices every pick is
+// accepted, so the fill only stores one edge per pick. One 64Ki-edge
+// chunk fills on one lane; two chunks fill as one pair, their streams
+// stepped in lockstep. ns/pick is the time per edge.
+func BenchmarkRMATPick(b *testing.B) {
+	tw, err := graph.DatasetByName("TW")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		chunks int
+	}{{"one-lane", 1}, {"two-lane", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			picks := bc.chunks << 16
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.GenerateRMATWorkers(1<<16, picks, tw.RMAT, uint64(i+1), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*picks), "ns/pick")
 		})
 	}
 }

@@ -221,7 +221,7 @@ func TestRMATParamsValidate(t *testing.T) {
 		t.Error("excessive noise accepted")
 	}
 	// NaN fails every comparison, so a range check must be written to
-	// fail on it: rmatPick needs finite quadrant masses.
+	// fail on it: the R-MAT pick needs finite quadrant masses.
 	if err := (RMATParams{A: math.NaN(), B: 0.2, C: 0.2, D: 0.1}).Validate(); err == nil {
 		t.Error("NaN quadrant accepted")
 	}
